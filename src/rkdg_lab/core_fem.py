@@ -15,9 +15,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -164,6 +165,20 @@ def _basis_scale(mesh: Mesh1D, degree: int) -> np.ndarray:
     return np.sqrt((2 * m + 1)[None, :] / mesh.widths[:, None])
 
 
+def _trace_vectors(mesh: Mesh1D, degree: int, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint values of the order-th derivative of the scaled basis:
+    (left, right), shape (n_cells, degree+1).
+
+    Uses the exact closed form P_m^(d)(1) = C(m+d, 2d) (2d-1)!! and
+    P_m^(d)(-1) = (-1)^(m+d) P_m^(d)(1); the chain rule adds (2/h)^d.
+    """
+    m = np.arange(degree + 1)
+    double_factorial = math.prod(range(1, 2 * order, 2))
+    at_one = np.array([math.comb(i + order, 2 * order) * double_factorial for i in m])
+    right = _basis_scale(mesh, degree) * (2.0 / mesh.widths[:, None]) ** order * at_one
+    return right * (-1.0) ** (m + order), right
+
+
 @dataclass(frozen=True)
 class DGFunction:
     """Piecewise polynomial on a Mesh1D in the orthonormal modal basis."""
@@ -209,11 +224,8 @@ class DGFunction:
 
     def cell_traces(self) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) endpoint values of every cell, shape (n_cells,)."""
-        s = _basis_scale(self.mesh, self.degree)
-        signs = (-1.0) ** np.arange(self.degree + 1)
-        left = (self.coeffs * s * signs[None, :]).sum(axis=1)
-        right = (self.coeffs * s).sum(axis=1)
-        return left, right
+        left, right = _trace_vectors(self.mesh, self.degree)
+        return (self.coeffs * left).sum(axis=1), (self.coeffs * right).sum(axis=1)
 
     def interface_values(self) -> tuple[np.ndarray, np.ndarray]:
         """(minus, plus) traces at the n_cells interfaces x_{i+1/2}."""

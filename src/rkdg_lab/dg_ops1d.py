@@ -22,8 +22,7 @@ the admissibility conditions on (beta, theta_0).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +31,7 @@ from .core_fem import (
     DGFunction,
     Mesh1D,
     NumericalError,
-    _basis_scale,
+    _trace_vectors,
     gauss_rule,
     legendre_table,
 )
@@ -71,70 +70,71 @@ class LinearOperator:
         return LinearOperator(self.mat * float(c), label=self.label)
 
 
-def _trace_vectors(mesh: Mesh1D, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint values of the scaled basis: (left, right), shape (n_cells, degree+1)."""
-    s = _basis_scale(mesh, degree)
-    signs = (-1.0) ** np.arange(degree + 1)
-    return s * signs[None, :], s
+def _block_stencil(stencil: np.ndarray) -> sp.csr_matrix:
+    """Periodic block-tridiagonal matrix from per-cell blocks.
 
-
-def _volume_gradient_gram(degree: int) -> np.ndarray:
-    """G[mp, m] = integral over [-1,1] of P'_mp * P_m.
-
-    Equals 2 when mp > m with mp - m odd, else 0; computed by quadrature so
-    the assembly and the closed form can be cross-checked in tests.
+    stencil has shape (3, n_cells, r, c); stencil[o, j] is the block in
+    block row j and block column j + o - 1 (mod n_cells). Blocks landing
+    on one position (two-cell meshes) add up; zero sums are not stored.
     """
+    _, n_cells, r, c = stencil.shape
+    cells = np.arange(n_cells)
+    rows = (cells[:, None] * r + np.arange(r))[None, :, :, None]
+    neighbours = (cells[None, :] + np.arange(-1, 2)[:, None]) % n_cells
+    cols = (neighbours[:, :, None] * c + np.arange(c))[:, :, None, :]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    mat = sp.coo_matrix(
+        (stencil.ravel(), (rows.ravel(), cols.ravel())), shape=(n_cells * r, n_cells * c)
+    ).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-cell outer products of (n_cells, r) and (n_cells, c) rows."""
+    return x[:, :, None] * y[:, None, :]
+
+
+def _flux_stencil(
+    mesh: Mesh1D, degree: int, a: float, b: float, trial_order: int = 0, test_order: int = 0
+) -> np.ndarray:
+    """Stencil of the interface form sum_i (a u_minus + b u_plus)_i [v]_i,
+    with u and v replaced by their trial_order-th and test_order-th
+    derivatives.
+
+    Interface j-1/2 has cell j on its plus side, so [v] = v_plus - v_minus
+    splits into a row of cell j (left test traces) and a row of cell j-1
+    (right test traces).
+    """
+    u_left, u_right = _trace_vectors(mesh, degree, trial_order)
+    v_left, v_right = _trace_vectors(mesh, degree, test_order)
+    return np.stack([
+        a * _outer(v_left, np.roll(u_right, 1, axis=0)),
+        b * _outer(v_left, u_left) - a * _outer(v_right, u_right),
+        -b * _outer(v_right, np.roll(u_left, -1, axis=0)),
+    ])
+
+
+def volume_derivative_blocks(mesh: Mesh1D, degree: int, order: int = 1) -> np.ndarray:
+    """Per-cell matrices V_j[mp, m] = <phi_m, d^order phi_mp / dx^order>_j,
+    shape (n_cells, k+1, k+1)."""
     xi, w = gauss_rule(degree + 2)
-    tab = legendre_table(degree, xi, nderiv=1)
-    return np.einsum("q,aq,bq->ab", w, tab[1], tab[0])
-
-
-def volume_derivative_blocks(mesh: Mesh1D, degree: int) -> np.ndarray:
-    """Per-cell matrices V_j[mp, m] = <phi_m, phi_mp'>_j, shape (n_cells, k+1, k+1)."""
-    g = _volume_gradient_gram(degree)
-    m = np.arange(degree + 1)
-    s = np.sqrt(2 * m + 1.0)
-    base = s[:, None] * s[None, :] * g  # reference, before the 1/h factor
-    return base[None, :, :] / mesh.widths[:, None, None]
+    tab = legendre_table(degree, xi, nderiv=order)
+    s = np.sqrt(2 * np.arange(degree + 1) + 1.0)
+    base = s[:, None] * s[None, :] * np.einsum("q,aq,bq->ab", w, tab[order], tab[0])
+    # Jacobian h/2, two 1/sqrt(h) normalizations and the chain-rule
+    # factor (2/h)^order leave 2^(order-1) / h^order.
+    return base[None, :, :] * 2.0 ** (order - 1) / mesh.widths[:, None, None] ** order
 
 
 def assemble_d_theta(mesh: Mesh1D, degree: int, theta: float) -> LinearOperator:
     """The DG derivative with flux parameter theta, as a sparse matrix on
-    coefficient vectors ordered cell-major."""
-    n_cells, k1 = mesh.n_cells, degree + 1
-    left, right = _trace_vectors(mesh, degree)
-    vol = volume_derivative_blocks(mesh, degree)
-
-    rows, cols, vals = [], [], []
-
-    def add_block(cell_test: int, cell_trial: int, block: np.ndarray) -> None:
-        r = cell_test * k1 + np.arange(k1)
-        c = cell_trial * k1 + np.arange(k1)
-        rr, cc = np.meshgrid(r, c, indexing="ij")
-        rows.append(rr.reshape(-1))
-        cols.append(cc.reshape(-1))
-        vals.append(block.reshape(-1))
-
-    for j in range(n_cells):
-        add_block(j, j, -vol[j])
-
-    # Interface i sits between cell i (minus side) and cell i+1 mod n (plus side).
-    # The flux term contributes -what_ * [v]; with what_ = theta*w_minus + (1-theta)*w_plus
-    # and [v] = v_plus - v_minus the four trial/test couplings are:
-    for i in range(n_cells):
-        ip = (i + 1) % n_cells
-        r_i = right[i]          # trial and test traces from the minus cell
-        l_ip = left[ip]         # traces from the plus cell
-        add_block(i, i, theta * np.outer(r_i, r_i))
-        add_block(ip, i, -theta * np.outer(l_ip, r_i))
-        add_block(i, ip, (1.0 - theta) * np.outer(r_i, l_ip))
-        add_block(ip, ip, -(1.0 - theta) * np.outer(l_ip, l_ip))
-
-    n = n_cells * k1
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    return LinearOperator(mat, label=f"D[theta={theta:g}]")
+    coefficient vectors ordered cell-major: D_theta = -(V + F), with V the
+    volume blocks and F the flux form for what_ = theta w_minus +
+    (1 - theta) w_plus."""
+    stencil = _flux_stencil(mesh, degree, theta, 1.0 - theta)
+    stencil[1] += volume_derivative_blocks(mesh, degree)
+    return LinearOperator(_block_stencil(-stencil), label=f"D[theta={theta:g}]")
 
 
 def middle_theta(q: int, theta0: float) -> float:
@@ -245,60 +245,13 @@ def assemble_ultraweak_third(mesh: Mesh1D, degree: int) -> LinearOperator:
             "cannot reach its design order",
             stacklevel=2,
         )
-    n_cells, k1 = mesh.n_cells, degree + 1
-    n = n_cells * k1
-
-    # Volume term: -<phi_m, phi_mp'''>_j. Reference third-derivative Gram.
-    xi, w = gauss_rule(degree + 2)
-    tab = legendre_table(degree, xi, nderiv=3)
-    g3 = np.einsum("q,aq,bq->ab", w, tab[3], tab[0])  # integral P'''_a P_b
-    m = np.arange(k1)
-    s = np.sqrt(2 * m + 1.0)
-    # phi''' carries (2/h)^3 from the chain rule; the h/2 Jacobian and the
-    # two 1/sqrt(h) normalizations leave an overall h^{-3}.
-    base = s[:, None] * s[None, :] * g3
-
-    # Endpoint derivative traces of the scaled basis, orders 0..2.
-    tabp = legendre_table(degree, np.array([1.0]), nderiv=2)[:, :, 0]   # (3, k+1) at +1
-    tabm = legendre_table(degree, np.array([-1.0]), nderiv=2)[:, :, 0]  # (3, k+1) at -1
-
-    rows, cols, vals = [], [], []
-
-    def add_block(cell_test: int, cell_trial: int, block: np.ndarray) -> None:
-        r = cell_test * k1 + np.arange(k1)
-        c = cell_trial * k1 + np.arange(k1)
-        rr, cc = np.meshgrid(r, c, indexing="ij")
-        rows.append(rr.reshape(-1))
-        cols.append(cc.reshape(-1))
-        vals.append(block.reshape(-1))
-
-    widths = mesh.widths
-    for j in range(n_cells):
-        # Jacobian h/2, two 1/sqrt(h) normalizations, chain-rule (2/h)^3.
-        add_block(j, j, -4.0 * base / widths[j] ** 3)
-
-    def trace(cell: int, order: int, end: str) -> np.ndarray:
-        h = widths[cell]
-        ref = tabp[order] if end == "right" else tabm[order]
-        return np.sqrt((2 * m + 1.0) / h) * ref * (2.0 / h) ** order
-
-    for i in range(n_cells):
-        ip = (i + 1) % n_cells
-        # trial traces
-        w_minus = trace(i, 0, "right")
-        wx_minus = trace(i, 1, "right")
-        wxx_plus = trace(ip, 2, "left")
-        # test jumps [v^(d)] = plus - minus, split into the two cells' rows
-        for d, trial, sign in ((2, w_minus, -1.0), (1, wx_minus, +1.0), (0, wxx_plus, -1.0)):
-            v_plus = trace(ip, d, "left")
-            v_minus = trace(i, d, "right")
-            add_block(ip, i if trial is not wxx_plus else ip, sign * np.outer(v_plus, trial))
-            add_block(i, i if trial is not wxx_plus else ip, -sign * np.outer(v_minus, trial))
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    return LinearOperator(mat, label="L[ultraweak q=3]")
+    stencil = (
+        _flux_stencil(mesh, degree, 1.0, 0.0, trial_order=0, test_order=2)
+        - _flux_stencil(mesh, degree, 1.0, 0.0, trial_order=1, test_order=1)
+        + _flux_stencil(mesh, degree, 0.0, 1.0, trial_order=2, test_order=0)
+    )
+    stencil[1] += volume_derivative_blocks(mesh, degree, order=3)
+    return LinearOperator(_block_stencil(-stencil), label="L[ultraweak q=3]")
 
 
 def semiboundedness_mu(op: LinearOperator) -> float:

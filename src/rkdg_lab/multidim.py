@@ -20,10 +20,11 @@ import scipy.sparse as sp
 from .core_fem import (
     Mesh1D,
     _basis_scale,
+    _trace_vectors,
     gauss_rule,
     legendre_table,
 )
-from .dg_ops1d import LinearOperator, assemble_d_theta, _trace_vectors
+from .dg_ops1d import LinearOperator, assemble_d_theta
 from .projections import pi_theta_rhs, pi_theta_system
 
 

@@ -25,22 +25,16 @@ from .core_fem import (
     Mesh1D,
     NumericalError,
     SmoothFunction,
-    _basis_scale,
-    gauss_rule,
-    legendre_table,
+    _trace_vectors,
     mean_value,
     project_l2,
 )
 from .dg_ops1d import (
     LinearOperator,
+    _block_stencil,
     assemble_d_theta,
     high_order_flux_sequence,
-    _trace_vectors,
 )
-
-#: pi0 is the plain L2 projection; the alias keeps call sites readable
-#: when it appears next to pi_theta and composed_projection.
-pi0 = project_l2
 
 _HALF_THETA_REMEDY = (
     "theta = 1/2 makes the interface system singular on periodic meshes "
@@ -110,26 +104,12 @@ def pi_theta_system(mesh: Mesh1D, degree: int, theta: float):
         hit = _PI_THETA_CACHE.get(key)
     if hit is not None:
         return hit
-    n_cells, k1 = mesh.n_cells, degree + 1
-    n = n_cells * k1
     left, right = _trace_vectors(mesh, degree)
-    rows, cols, vals = [], [], []
-    for j in range(n_cells):
-        base = j * k1
-        rows.append(base + np.arange(degree))
-        cols.append(base + np.arange(degree))
-        vals.append(np.ones(degree))
-        ip = (j + 1) % n_cells
-        r = base + degree
-        rows.append(np.full(k1, r))
-        cols.append(base + np.arange(k1))
-        vals.append(theta * right[j])
-        rows.append(np.full(k1, r))
-        cols.append(ip * k1 + np.arange(k1))
-        vals.append((1.0 - theta) * left[ip])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsc()
+    stencil = np.zeros((3,) + left.shape + (degree + 1,))
+    stencil[1] = np.eye(degree + 1)
+    stencil[1, :, degree] = theta * right
+    stencil[2, :, degree] = (1.0 - theta) * np.roll(left, -1, axis=0)
+    mat = _block_stencil(stencil).tocsc()
     try:
         lu = spla.splu(mat)
     except RuntimeError as exc:

@@ -21,55 +21,19 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .core_fem import (
-    DGFunction,
-    Mesh1D,
-    gauss_rule,
-    legendre_table,
-    _basis_scale,
+from .core_fem import DGFunction, Mesh1D, _trace_vectors, gauss_rule, legendre_table
+from .dg_ops1d import (
+    LinearOperator,
+    _block_stencil,
+    _flux_stencil,
+    _outer,
+    assemble_d_theta,
 )
-from .dg_ops1d import LinearOperator, volume_derivative_blocks, _trace_vectors
 
 
-def _coo_from_blocks(blocks, n_rows: int, n_cols: int) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for r0, c0, block in blocks:
-        br, bc = block.shape
-        rr, cc = np.meshgrid(r0 + np.arange(br), c0 + np.arange(bc), indexing="ij")
-        rows.append(rr.reshape(-1))
-        cols.append(cc.reshape(-1))
-        vals.append(block.reshape(-1))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, n_cols),
-    ).tocsr()
-
-
-def _volume_matrix(mesh: Mesh1D, degree: int) -> sp.csr_matrix:
-    """Block diagonal of <phi_m, phi_mp'>_j."""
-    vol = volume_derivative_blocks(mesh, degree)
-    k1 = degree + 1
-    blocks = [(j * k1, j * k1, vol[j]) for j in range(mesh.n_cells)]
-    n = mesh.n_cells * k1
-    return _coo_from_blocks(blocks, n, n)
-
-
-def _flux_matrix(mesh: Mesh1D, degree: int, a: float, b: float) -> sp.csr_matrix:
-    """Matrix of the interface form sum_i (a u_minus + b u_plus)_i [v]_i."""
-    n_cells, k1 = mesh.n_cells, degree + 1
-    left, right = _trace_vectors(mesh, degree)
-    blocks = []
-    for i in range(n_cells):
-        ip = (i + 1) % n_cells
-        trial_minus = right[i]
-        trial_plus = left[ip]
-        # [v] = v_plus - v_minus splits into rows of cells ip and i.
-        blocks.append((ip * k1, i * k1, a * np.outer(trial_plus, trial_minus)))
-        blocks.append((i * k1, i * k1, -a * np.outer(trial_minus, trial_minus)))
-        blocks.append((ip * k1, ip * k1, b * np.outer(trial_plus, trial_plus)))
-        blocks.append((i * k1, ip * k1, -b * np.outer(trial_minus, trial_plus)))
-    n = n_cells * k1
-    return _coo_from_blocks(blocks, n, n)
+def _jump_matrix(mesh: Mesh1D, degree: int) -> sp.csr_matrix:
+    """Matrix of the interface form sum_i [u]_i [v]_i."""
+    return _block_stencil(_flux_stencil(mesh, degree, -1.0, 1.0))
 
 
 def assemble_wave_alphabeta(
@@ -91,15 +55,14 @@ def assemble_wave_alphabeta(
             f"beta1 and beta2 must be <= 0 for a non-increasing energy, "
             f"got beta1={beta1:g}, beta2={beta2:g}"
         )
-    bvol = _volume_matrix(mesh, degree)
-    # hat(chi) enters the w-equation: {chi} - alpha [chi] maps to the
-    # package jump orientation as (1/2 + alpha) chi_minus + (1/2 - alpha) chi_plus.
-    g_chi = _flux_matrix(mesh, degree, 0.5 - alpha, 0.5 + alpha)
-    g_w = _flux_matrix(mesh, degree, 0.5 + alpha, 0.5 - alpha)
-    g_jump = _flux_matrix(mesh, degree, -1.0, 1.0)
-    top = [beta2 * g_jump, -bvol - g_chi]
-    bottom = [-bvol - g_w, beta1 * g_jump]
-    mat = sp.bmat([[top[0], top[1]], [bottom[0], bottom[1]]], format="csr")
+    # Each field's transport block is the DG derivative of the other field,
+    # D_a = -(V + F(a, 1 - a)). The package jump orientation turns
+    # {chi} - alpha [chi] into the weights (1/2 - alpha, 1/2 + alpha) on
+    # (chi_minus, chi_plus), and {w} + alpha [w] into (1/2 + alpha, 1/2 - alpha).
+    d_chi = assemble_d_theta(mesh, degree, 0.5 - alpha).mat
+    d_w = assemble_d_theta(mesh, degree, 0.5 + alpha).mat
+    g_jump = _jump_matrix(mesh, degree)
+    mat = sp.bmat([[beta2 * g_jump, d_chi], [d_w, beta1 * g_jump]], format="csr")
     return LinearOperator(mat, label=f"wave[alpha={alpha:g},b1={beta1:g},b2={beta2:g}]")
 
 
@@ -115,10 +78,8 @@ def assemble_energy_conserving_pair(mesh: Mesh1D, degree: int) -> LinearOperator
     L2 norm; there is no dissipation to hide behind, which makes this
     the sharpest test of the fully discrete error machinery.
     """
-    bvol = _volume_matrix(mesh, degree)
-    g_half = _flux_matrix(mesh, degree, 0.5, 0.5)
-    g_jump = _flux_matrix(mesh, degree, -1.0, 1.0)
-    a = bvol + g_half
+    a = -assemble_d_theta(mesh, degree, 0.5).mat
+    g_jump = _jump_matrix(mesh, degree)
     mat = sp.bmat([[a, -0.5 * g_jump], [0.5 * g_jump, -a]], format="csr")
     return LinearOperator(mat, label="energy-conserving pair")
 
@@ -152,90 +113,76 @@ def assemble_central_advection(
         raise ValueError("tau_max must be positive")
     dual = dual_mesh(primal)
     n_cells, k1 = primal.n_cells, degree + 1
-    n = n_cells * k1
-    length = primal.length
-
+    cells = np.arange(n_cells)
+    bounds, centers = primal.boundaries, primal.centers
     xi, wts = gauss_rule(degree + 2)
-    ptab = legendre_table(degree, xi, nderiv=1)
 
-    def eval_basis(mesh: Mesh1D, cell: int, x: np.ndarray, nderiv: int = 0):
-        """Scaled basis values (and derivatives) of one cell at physical
-        points, shape (nderiv+1, k+1, len(x))."""
-        h = mesh.widths[cell]
-        c = mesh.centers[cell]
-        local = legendre_table(degree, 2.0 * (x - c) / h, nderiv=nderiv)
-        scale = np.sqrt((2 * np.arange(degree + 1) + 1.0) / h)
-        out = local * scale[None, :, None]
+    def eval_basis(mesh: Mesh1D, cell: np.ndarray, x: np.ndarray, nderiv: int = 0):
+        """Scaled basis values (and derivatives) of cell[j] at the physical
+        points x[j], shape (nderiv+1, n_cells, k+1, len(x[j]))."""
+        h = mesh.widths[cell][:, None]
+        xi_local = 2.0 * (x - mesh.centers[cell][:, None]) / h
+        local = legendre_table(degree, xi_local.ravel(), nderiv)
+        local = local.reshape((nderiv + 1, k1) + x.shape).transpose(0, 2, 1, 3)
+        out = local * np.sqrt((2 * np.arange(k1) + 1.0) / h)[None, :, :, None]
         for d in range(1, nderiv + 1):
-            out[d] *= (2.0 / h) ** d
+            out[d] *= (2.0 / h[:, :, None]) ** d
         return out
 
-    mass_blocks = []     # <chi, v> over primal cells: rows primal, cols dual
-    cross_pd = []        # <chi, v'> over primal cells
-    cross_dp = []        # <w, psi'> over dual cells
-    for j in range(n_cells):
-        jm = (j - 1) % n_cells
-        lo, hi = primal.boundaries[j], primal.boundaries[j + 1]
-        mid = primal.centers[j]
-        for (a, b, dcell) in ((lo, mid, jm), (mid, hi, j)):
-            pts = 0.5 * (a + b) + 0.5 * (b - a) * xi
-            w_phys = 0.5 * (b - a) * wts
-            ptest = eval_basis(primal, j, pts, nderiv=1)
-            # dual coordinates may sit one period up (cell jm for j = 0)
-            dual_pts = pts + (length if dcell == n_cells - 1 and j == 0 else 0.0)
-            dtrial = eval_basis(dual, dcell, dual_pts)[0]
-            mass_blocks.append(
-                (j * k1, dcell * k1, np.einsum("q,aq,bq->ab", w_phys, ptest[0], dtrial))
-            )
-            cross_pd.append(
-                (j * k1, dcell * k1, np.einsum("q,aq,bq->ab", w_phys, ptest[1], dtrial))
-            )
-    for jd in range(n_cells):
-        jp = (jd + 1) % n_cells
-        lo, hi = dual.boundaries[jd], dual.boundaries[jd + 1]
-        mid = primal.boundaries[jd + 1]  # the primal interface inside this dual cell
-        for (a, b, pcell) in ((lo, mid, jd), (mid, hi, jp)):
-            pts = 0.5 * (a + b) + 0.5 * (b - a) * xi
-            w_phys = 0.5 * (b - a) * wts
-            dtest = eval_basis(dual, jd, pts, nderiv=1)
-            prim_pts = pts - (length if pcell == 0 and jd == n_cells - 1 else 0.0)
-            ptrial = eval_basis(primal, pcell, prim_pts)[0]
-            cross_dp.append(
-                (jd * k1, pcell * k1, np.einsum("q,aq,bq->ab", w_phys, dtest[1], ptrial))
-            )
+    def half_cells(test_mesh, trial_mesh, lo, hi, trial_cell, shift):
+        """<trial, test> and <trial, test'> over [lo_j, hi_j] inside test
+        cell j; the trial cell sees the points moved by shift_j, which is
+        one period across the seam."""
+        pts = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xi
+        w_phys = 0.5 * (hi - lo)[:, None] * wts
+        test = eval_basis(test_mesh, cells, pts, nderiv=1)
+        trial = eval_basis(trial_mesh, trial_cell, pts + shift[:, None])[0]
+        return (
+            np.einsum("jq,jaq,jbq->jab", w_phys, test[0], trial),
+            np.einsum("jq,jaq,jbq->jab", w_phys, test[1], trial),
+        )
 
-    mass = _coo_from_blocks(mass_blocks, n, n)
-    c_pd = _coo_from_blocks(cross_pd, n, n)
-    c_dp = _coo_from_blocks(cross_dp, n, n)
+    # Primal cell j splits at its center: the left half lies in dual cell
+    # j-1, the right half in dual cell j. Dual cell j splits at the primal
+    # interface x_{j+1/2}: the left half lies in primal cell j, the right
+    # half in primal cell j+1.
+    no_shift = np.zeros(n_cells)
+    mass_lo, cross_pd_lo = half_cells(
+        primal, dual, bounds[:-1], centers, np.roll(cells, 1),
+        np.where(cells == 0, primal.length, 0.0),
+    )
+    mass_hi, cross_pd_hi = half_cells(primal, dual, centers, bounds[1:], cells, no_shift)
+    _, cross_dp_lo = half_cells(dual, primal, dual.boundaries[:-1], bounds[1:], cells, no_shift)
+    _, cross_dp_hi = half_cells(
+        dual, primal, bounds[1:], dual.boundaries[1:], np.roll(cells, -1),
+        np.where(cells == n_cells - 1, -primal.length, 0.0),
+    )
 
-    # Point terms. chi at primal interfaces times the jump of v there:
-    point_pd = []
+    # Point terms: chi at the primal interfaces (inside dual cell j) times
+    # the jump of v there, and w at the primal centers (the dual
+    # interfaces) times the jump of psi there.
     left_p, right_p = _trace_vectors(primal, degree)
-    for i in range(n_cells):
-        ip = (i + 1) % n_cells
-        x = primal.boundaries[i + 1]  # interior to dual cell i
-        chi_vals = eval_basis(dual, i, np.array([x]))[0][:, 0]
-        point_pd.append((ip * k1, i * k1, np.outer(left_p[ip], chi_vals)))
-        point_pd.append((i * k1, i * k1, -np.outer(right_p[i], chi_vals)))
-    f_pd = _coo_from_blocks(point_pd, n, n)
-
-    # w at primal centers times the jump of psi there. The center x_j is
-    # the left endpoint of dual cell j and the right endpoint of dual
-    # cell j-1.
-    point_dp = []
     left_d, right_d = _trace_vectors(dual, degree)
-    for j in range(n_cells):
-        jm = (j - 1) % n_cells
-        w_vals = eval_basis(primal, j, np.array([primal.centers[j]]))[0][:, 0]
-        point_dp.append((j * k1, j * k1, np.outer(left_d[j], w_vals)))
-        point_dp.append((jm * k1, j * k1, -np.outer(right_d[jm], w_vals)))
-    f_dp = _coo_from_blocks(point_dp, n, n)
+    chi_at = eval_basis(dual, cells, bounds[1:, None])[0, :, :, 0]
+    w_at = eval_basis(primal, cells, centers[:, None])[0, :, :, 0]
 
-    eye = sp.identity(n, format="csr")
+    # The relaxation couples through the same half-cell mass blocks in
+    # both directions, transposed for the dual rows.
     inv_tau = 1.0 / tau_max
-    top = [-inv_tau * eye, inv_tau * mass + c_pd + f_pd]
-    bottom = [inv_tau * mass.T.tocsr() + c_dp + f_dp, -inv_tau * eye]
-    mat = sp.bmat([[top[0], top[1]], [bottom[0], bottom[1]]], format="csr")
+    zero = np.zeros_like(mass_lo)
+    primal_rows = _block_stencil(np.stack([
+        inv_tau * mass_lo + cross_pd_lo + _outer(left_p, np.roll(chi_at, 1, axis=0)),
+        inv_tau * mass_hi + cross_pd_hi - _outer(right_p, chi_at),
+        zero,
+    ]))
+    dual_rows = _block_stencil(np.stack([
+        zero,
+        inv_tau * np.swapaxes(mass_hi, 1, 2) + cross_dp_lo + _outer(left_d, w_at),
+        inv_tau * np.roll(np.swapaxes(mass_lo, 1, 2), -1, axis=0) + cross_dp_hi
+        - _outer(right_d, np.roll(w_at, -1, axis=0)),
+    ]))
+    eye = sp.identity(n_cells * k1, format="csr")
+    mat = sp.bmat([[-inv_tau * eye, primal_rows], [dual_rows, -inv_tau * eye]], format="csr")
     return LinearOperator(mat, label=f"central[tau_max={tau_max:g}]"), dual
 
 

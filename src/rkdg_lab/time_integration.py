@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +23,14 @@ import scipy.linalg
 
 from .core_fem import NumericalError
 from .dg_ops1d import LinearOperator, operator_norm
+
+
+def _horner(alphas: Sequence[float], u, apply: Callable):
+    """sum_i alpha_i A^i u by Horner's rule, where apply(v) = A v."""
+    v = alphas[-1] * u
+    for a in alphas[-2::-1]:
+        v = a * u + apply(v)
+    return v
 
 
 def _linear_order(alphas: Sequence[float]) -> int:
@@ -61,10 +69,7 @@ class RKScheme:
     def amplification(self, z: np.ndarray) -> np.ndarray:
         """R(z) for scalar or array z (complex welcome)."""
         z = np.asarray(z)
-        out = np.full_like(z, self.alphas[-1], dtype=complex)
-        for a in self.alphas[-2::-1]:
-            out = out * z + a
-        return out
+        return _horner(self.alphas, np.ones_like(z, dtype=complex), lambda v: z * v)
 
 
 def taylor_rk(p: int) -> RKScheme:
@@ -146,11 +151,7 @@ def _as_apply(op) -> Callable:
 def rk_step(op, u: np.ndarray, tau: float, scheme: RKScheme) -> np.ndarray:
     """One step u -> R(tau L) u by Horner's rule; s applications of L."""
     apply_l = _as_apply(op)
-    alphas = scheme.alphas
-    v = alphas[-1] * u
-    for a in alphas[-2::-1]:
-        v = a * u + tau * apply_l(v)
-    return v
+    return _horner(scheme.alphas, u, lambda v: tau * apply_l(v))
 
 
 class StabilityWarning(UserWarning):
@@ -222,55 +223,32 @@ def evolve(
     )
 
 
-def _dense_amplification(mat: np.ndarray, scheme: RKScheme, tau: float) -> np.ndarray:
-    n = mat.shape[0]
-    r = scheme.alphas[-1] * np.eye(n)
-    for a in scheme.alphas[-2::-1]:
-        r = a * np.eye(n) + tau * (mat @ r)
-    return r
-
-
 def amplification_norm(op, scheme: RKScheme, tau: float, *, seed: int = 7) -> float:
     """Spectral norm of R(tau L).
 
-    Per-mode closed evaluation for spectral symbol operators; dense 2-norm
-    up to n = 2000; power iteration on R^T R beyond that.
+    Exact for spectral symbol operators (the largest norm over the
+    per-mode matrices) and for dense matrices up to n = 2000; power
+    iteration on R^T R beyond that.
     """
     symbols = getattr(op, "symbols", None)
-    if symbols is not None:
-        best = 0.0
-        for s in np.reshape(symbols, (-1,) + symbols.shape[-2:]):
-            r = scheme.alphas[-1] * np.eye(s.shape[0], dtype=complex)
-            for a in scheme.alphas[-2::-1]:
-                r = a * np.eye(s.shape[0]) + tau * (s @ r)
-            best = max(best, float(np.linalg.norm(r, 2)))
-        return best
-
     mat = op.mat if isinstance(op, LinearOperator) else op
-    n = mat.shape[0]
-    if n <= 2000:
-        dense = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
-        return float(np.linalg.norm(_dense_amplification(dense, scheme, tau), 2))
+    if symbols is not None or mat.shape[0] <= 2000:
+        if symbols is not None:
+            stack = np.reshape(symbols, (-1,) + symbols.shape[-2:])
+        else:
+            stack = (mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat))[None]
+        eye = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape)
+        r = _horner(scheme.alphas, eye, lambda v: tau * (stack @ v))
+        return float(np.linalg.norm(r, 2, axis=(-2, -1)).max())
 
     apply_l = _as_apply(op)
-
-    def apply_r(v):
-        return rk_step(apply_l, v, tau, scheme)
-
     mat_t = mat.T.tocsr() if hasattr(mat, "tocsr") else np.asarray(mat).T
-
-    def apply_rt(v):
-        w = scheme.alphas[-1] * v
-        for a in scheme.alphas[-2::-1]:
-            w = a * v + tau * (mat_t @ w)
-        return w
-
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(mat.shape[0])
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(5000):
-        z = apply_rt(apply_r(v))
+        z = rk_step(lambda w: mat_t @ w, rk_step(apply_l, v, tau, scheme), tau, scheme)
         zn = np.linalg.norm(z)
         if zn == 0.0:
             return 0.0

@@ -64,11 +64,22 @@ def interface_traces(u, deriv=0):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("theta,degree", [(1.0, 1), (0.6, 2), (0.0, 1), (0.25, 3)])
-def test_weak_form_of_d_theta(theta, degree):
+@pytest.mark.parametrize(
+    "theta,degree,n_cells",
+    [
+        pytest.param(1.0, 1, 10, id="1.0-1"),
+        pytest.param(0.6, 2, 10, id="0.6-2"),
+        pytest.param(0.0, 1, 10, id="0.0-1"),
+        pytest.param(0.25, 3, 10, id="0.25-3"),
+        (0.6, 2, 2),
+        (0.25, 3, 3),
+    ],
+)
+def test_weak_form_of_d_theta(theta, degree, n_cells):
     """<D_theta u, v> = -sum_j int_j u v' + sum_i uhat_i (v_minus - v_plus),
-    with the flux uhat = theta u_minus + (1 - theta) u_plus."""
-    mesh = Mesh1D.perturbed(10, rel=0.25, seed=8)
+    with the flux uhat = theta u_minus + (1 - theta) u_plus. With two or
+    three cells the j-1 and j+1 neighbours coincide or are adjacent."""
+    mesh = Mesh1D.perturbed(n_cells, rel=0.25, seed=8)
     rng = np.random.default_rng(17)
     u = random_dg(mesh, degree, rng)
     v = random_dg(mesh, degree, rng)
@@ -245,9 +256,10 @@ def test_upwind_derivative_is_consistent_under_refinement():
 # ---------------------------------------------------------------------------
 
 
-def test_ultraweak_energy_is_derivative_jump_dissipation():
+@pytest.mark.parametrize("n_cells", [9, 2, 3])
+def test_ultraweak_energy_is_derivative_jump_dissipation(n_cells):
     """<L v, v> = -1/2 sum over interfaces of [v']^2."""
-    mesh = Mesh1D.perturbed(9, rel=0.2, seed=12)
+    mesh = Mesh1D.perturbed(n_cells, rel=0.2, seed=12)
     op = assemble_ultraweak_third(mesh, 3)
     rng = np.random.default_rng(31)
     u = random_dg(mesh, 3, rng)

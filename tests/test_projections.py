@@ -42,9 +42,19 @@ def quad_moments(w, mesh, degree, npts=12):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("theta,degree", [(1.0, 1), (0.75, 2), (0.0, 2), (0.3, 3)])
-def test_pi_theta_defining_conditions(theta, degree):
-    mesh = Mesh1D.perturbed(10, rel=0.2, seed=2)
+@pytest.mark.parametrize(
+    "theta,degree,n_cells",
+    [
+        pytest.param(1.0, 1, 10, id="1.0-1"),
+        pytest.param(0.75, 2, 10, id="0.75-2"),
+        pytest.param(0.0, 2, 10, id="0.0-2"),
+        pytest.param(0.3, 3, 10, id="0.3-3"),
+        (0.75, 2, 2),
+        (0.3, 3, 3),
+    ],
+)
+def test_pi_theta_defining_conditions(theta, degree, n_cells):
+    mesh = Mesh1D.perturbed(n_cells, rel=0.2, seed=2)
     w = lambda x: np.sin(x) + 0.3 * np.cos(2.0 * x)
     g = pi_theta(w, mesh, degree, theta, npts=degree + 10)
 

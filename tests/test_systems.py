@@ -142,8 +142,9 @@ def test_central_energy_is_relaxation_toward_the_other_copy(degree):
     assert semiboundedness_mu(op) <= 1e-10
 
 
-def test_central_transport_is_skew_without_relaxation():
-    primal = Mesh1D.uniform(8)
+@pytest.mark.parametrize("n_cells", [8, 2, 3])
+def test_central_transport_is_skew_without_relaxation(n_cells):
+    primal = Mesh1D.uniform(n_cells)
     op, _ = assemble_central_advection(primal, 1, 1e30)
     assert skew_defect(op) < 1e-13
 

@@ -16,6 +16,7 @@ from rkdg_lab import (
     NumericalError,
     RKScheme,
     StabilityWarning,
+    SymbolOperator,
     amplification_norm,
     assemble_high_order_lh,
     custom_rk,
@@ -185,6 +186,20 @@ def test_amplification_norm_on_skew_operator():
     ref = np.max(np.abs(scheme.amplification(tau * eigs)))
     got = amplification_norm(op, scheme, tau)
     assert abs(got - ref) < 1e-10
+
+
+def test_amplification_norm_on_symbol_operator():
+    """The exchange-coupled symbol -i k [[0, 1], [1, 0]] is normal with
+    eigenvalues -+ i k, so the norm of R(tau L) is the largest
+    |R(+- i tau k)| over the modes. tau * n_max lies past the rk4
+    stability boundary, so the maximum is not the trivial k = 0 value."""
+    n_max, tau = 6, 0.55
+    op = SymbolOperator(n_max, 1, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
+    scheme = resolve_scheme("rk4")
+    k = np.arange(-n_max, n_max + 1)
+    ref = np.max(np.abs(scheme.amplification(np.concatenate([1j * tau * k, -1j * tau * k]))))
+    assert ref > 1.5
+    assert amplification_norm(op, scheme, tau) == pytest.approx(ref, rel=1e-13)
 
 
 @pytest.mark.parametrize(
