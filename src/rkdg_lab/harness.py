@@ -98,8 +98,9 @@ CSV_HEADER = "scale,error,rate_pairwise"
 SCAN_CSV_HEADER = "lambda,tau,amplification,stable"
 
 # Every evolution refuses to start unless the operator is semibounded to
-# this tolerance, and refuses step counts past the budget below.
-MU_GATE = 1.0e-8
+# this tolerance relative to its norm (round-off leaves mu/|L| near 1e-15),
+# and refuses step counts past the budget below.
+MU_GATE = 1.0e-10
 STEP_BUDGET = 3_000_000
 
 _RESIDUAL_GATE = 1.0e-10
@@ -221,13 +222,6 @@ def _characteristic_pair_action(sign: float) -> Callable:
 
 
 _COUPLINGS = {"exchange": np.array([[0.0, 1.0], [1.0, 0.0]])}
-
-
-def _fill_thetas(q: int, theta0: float, thetas: Sequence[float]) -> tuple[float, ...]:
-    """Default the paired flux parameters to copies of theta0."""
-    if thetas:
-        return tuple(thetas)
-    return (theta0,) * (q // 2)
 
 
 @lru_cache(maxsize=1)
@@ -362,7 +356,7 @@ class Problem:
 
 
 def _grid_mesh(grid: Mapping, n: int, seed: int, salt: int) -> Mesh1D:
-    if grid.get("mesh", "uniform") == "perturbed":
+    if grid["mesh"] == "perturbed":
         return Mesh1D.perturbed(n, rel=grid["perturbation"], seed=seed + 131 * salt + n)
     return Mesh1D.uniform(n)
 
@@ -426,8 +420,8 @@ def build_problem(
     config: Mapping, solution: ManufacturedSolution, n: int, salt: int = 0
 ) -> Problem:
     """Assemble one level and wire the exact solution to it."""
-    scheme, grid, init = config["scheme"], config["grid"], config.get("init", {})
-    mode = init.get("mode", "l2")
+    scheme, grid, init = config["scheme"], config["grid"], config["init"]
+    mode = init["mode"]
     op, meshes, scale, extra = build_operator(scheme, grid, n, config["seed"], salt)
     family = scheme["family"]
     comps = solution.components
@@ -505,7 +499,7 @@ def build_problem(
             u = composed_projection(
                 solution.profile(t), mesh, degree, scheme["q"],
                 theta0=scheme["theta0"], thetas=tuple(scheme["thetas"]),
-                variant=init.get("variant", "direct"), npts=degree + 8,
+                variant=init["variant"], npts=degree + 8,
             )
         else:
             u = project_l2(solution.profile(t), mesh, degree, npts=degree + 6)
@@ -590,13 +584,11 @@ def stability_budget(scheme: RKScheme) -> float:
 
 
 def _tau_exponent(config: Mapping, scheme: RKScheme) -> int:
-    tcfg = config["time"]
-    if tcfg.get("tau_exponent") is not None:
-        return int(tcfg["tau_exponent"])
-    family = config["scheme"]["family"]
+    tcfg, family = config["time"], config["scheme"]["family"]
+    if "tau_exponent" in tcfg:
+        return tcfg["tau_exponent"]
     q_eff = config["scheme"].get("q", 3 if family == "ultraweak3" else 1)
-    degree = config["scheme"].get("degree", 1)
-    return max(q_eff, math.ceil((degree + 1) / scheme.order))
+    return max(q_eff, math.ceil((config["scheme"]["degree"] + 1) / scheme.order))
 
 
 def _spatial_taus(
@@ -610,8 +602,8 @@ def _spatial_taus(
     """
     tcfg = config["time"]
     budget = stability_budget(scheme)
-    if tcfg.get("tau") is not None:
-        taus = [float(tcfg["tau"])] * len(problems)
+    if "tau" in tcfg:
+        taus = [tcfg["tau"]] * len(problems)
         expo = None
     else:
         expo = _tau_exponent(config, scheme)
@@ -694,25 +686,12 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _assert_rates(report: Mapping, fitted: float, spectral: bool) -> tuple[Mapping, bool | None]:
+def _assert_rates(report: Mapping, fitted: float) -> tuple[Mapping, bool | None]:
+    """One check per validated bound: assert_<what>_min/max -> <what>_min/max."""
     checks = {}
-    if spectral:
-        bound = report.get("assert_slope_max")
-        if bound is not None:
-            checks["slope_max"] = {
-                "bound": float(bound), "value": fitted, "passed": bool(fitted <= bound)
-            }
-    else:
-        low = report.get("assert_rate_min")
-        if low is not None:
-            checks["rate_min"] = {
-                "bound": float(low), "value": fitted, "passed": bool(fitted >= low)
-            }
-        high = report.get("assert_rate_max")
-        if high is not None:
-            checks["rate_max"] = {
-                "bound": float(high), "value": fitted, "passed": bool(fitted <= high)
-            }
+    for key, bound in report.items():
+        ok = fitted >= bound if key.endswith("_min") else fitted <= bound
+        checks[key.removeprefix("assert_")] = {"bound": bound, "value": fitted, "passed": bool(ok)}
     passed = all(c["passed"] for c in checks.values()) if checks else None
     return checks, passed
 
@@ -729,11 +708,11 @@ def _resolve_solution(config: Mapping) -> tuple[ManufacturedSolution, float]:
     return solution, defect
 
 
-def _gate_mu(problem: Problem, mu: float) -> None:
-    if mu > MU_GATE:
+def _gate_mu(problem: Problem, mu: float, op_norm: float) -> None:
+    if mu > MU_GATE * op_norm:
         raise NumericalError(
             f"operator at level {problem.label} is not semibounded "
-            f"(mu = {mu:.3e}); refusing to march it"
+            f"(mu = {mu:.3e}, |L| = {op_norm:.3e}); refusing to march it"
         )
 
 
@@ -753,8 +732,8 @@ def run_spatial(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> 
     problems = [build_problem(config, solution, n, salt=i) for i, n in enumerate(levels)]
     norms = _parallel_map(lambda p: _op_norm(p.op), problems, jobs)
     mus = _parallel_map(lambda p: _mu_value(p.op), problems, jobs)
-    for problem, mu in zip(problems, mus):
-        _gate_mu(problem, mu)
+    for problem, mu, nrm in zip(problems, mus, norms):
+        _gate_mu(problem, mu, nrm)
     taus, budget, expo = _spatial_taus(config, problems, norms, scheme)
 
     def run_level(i: int) -> LevelResult:
@@ -777,7 +756,7 @@ def run_spatial(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> 
     scales = [lv.scale for lv in level_results]
     errors = [lv.error for lv in level_results]
     fitted, pairwise = (fit_semilog if spectral else fit_loglog)(scales, errors)
-    assertions, passed = _assert_rates(config.get("report", {}), fitted, spectral)
+    assertions, passed = _assert_rates(config["report"], fitted)
     meta = {
         "manufactured_residual": defect,
         "cfl_budget": budget,
@@ -799,9 +778,9 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
     t_final, mode = tcfg["t_final"], tcfg["mode"]
 
     problem = build_problem(config, solution, config["grid"]["n"])
-    mu = _mu_value(problem.op)
-    _gate_mu(problem, mu)
     nrm = _op_norm(problem.op)
+    mu = _mu_value(problem.op)
+    _gate_mu(problem, mu, nrm)
     budget = stability_budget(scheme)
 
     # Halved steps, each snapped so it divides the horizon exactly.
@@ -822,11 +801,7 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
             problem.op, state0, tau, t_final, scheme,
             cfl_limit=budget, op_norm=nrm, strict_cfl=strict_cfl,
         )
-        rho = (
-            amplification_norm(problem.op, scheme, tau)
-            if problem.n_dofs <= 2000 else float("nan")
-        )
-        extra = {"amplification": float(rho)}
+        extra = {"amplification": float(amplification_norm(problem.op, scheme, tau))}
         if mode == "pde":
             raw, parts = problem.error(marched.state, t_final)
             adjusted = max(abs(raw - floor), 1e-16)
@@ -851,12 +826,12 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
                 "error; reported errors are floor-subtracted"
             )
     for lv in level_results:
-        if np.isfinite(lv.extra["amplification"]) and lv.extra["amplification"] > 1 + 1e-3:
+        if lv.extra["amplification"] > 1 + 1e-3:
             flags.append(f"amplification {lv.extra['amplification']:.6f} at tau {lv.tau:.3e}")
 
     fitted, pairwise = fit_loglog([lv.scale for lv in level_results],
                                   [lv.error for lv in level_results])
-    assertions, passed = _assert_rates(config.get("report", {}), fitted, False)
+    assertions, passed = _assert_rates(config["report"], fitted)
     meta = {
         "mode": mode,
         "floor": float(floor),
@@ -893,14 +868,12 @@ def run_stability(config: Mapping, *, jobs: int = 1) -> StudyResult:
     rows = _parallel_map(probe, scan["lambdas"], jobs)
     stable = [row["lambda"] for row in rows if row["stable"]]
     expect = scan.get("expect")
-    assertions = {}
-    passed = None
-    if expect == "empty":
-        passed = not stable
-        assertions["expect_empty"] = {"bound": 0, "value": len(stable), "passed": passed}
-    elif expect == "nonempty":
-        passed = bool(stable)
-        assertions["expect_nonempty"] = {"bound": 1, "value": len(stable), "passed": passed}
+    assertions, passed = {}, None
+    if expect is not None:
+        passed = bool(stable) == (expect == "nonempty")
+        assertions[f"expect_{expect}"] = {
+            "bound": int(expect == "nonempty"), "value": len(stable), "passed": passed,
+        }
     meta = {
         "operator_norm": float(nrm),
         "integrator": scheme.name,
@@ -928,325 +901,269 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
 # Configuration validation
 # ---------------------------------------------------------------------------
 
-_FAMILIES = (
-    "ldg", "ultraweak3", "wave", "conserving_pair", "central",
-    "advection2d", "spectral",
-)
+# Every config section is one table {key: (check, default)} read by
+# _section. A check maps (value, path) to the checked value or raises
+# ConfigError. The default is a value (checked like a given one), a
+# function of the values walked so far, _REQUIRED, or _OPTIONAL: the key
+# stays absent, as it does when a check returns _OPTIONAL (how the
+# optional blocks accept an explicit null). The rules that span keys or
+# sections follow the walk in validate_config.
+
+_REQUIRED = object()
+_OPTIONAL = object()
 
 # Parameters a manufactured solution pins outright. Everything else in
 # solution.params is a soft default the config may override.
 _PINNED = ("q", "beta", "coupling")
 
-_SCHEME_KEYS = {
-    "ldg": {"family", "degree", "q", "beta", "theta0", "thetas"},
-    "ultraweak3": {"family", "degree"},
-    "wave": {"family", "degree", "alpha", "beta1", "beta2", "flux_perturbation"},
-    "conserving_pair": {"family", "degree"},
-    "central": {"family", "degree", "tau_max_factor"},
-    "advection2d": {"family", "degree", "theta1", "theta2"},
-    "spectral": {"family", "coupling"},
-}
-
-_FIELD_COUNT = {
-    "ldg": 1, "ultraweak3": 1, "wave": 2, "conserving_pair": 2,
-    "central": 2, "spectral": 2,
-}
-
-
 def _fail(path: str, message: str) -> None:
-    raise ConfigError(f"{path}: {message}" if path else message)
+    raise ConfigError(f"{path}: {message}")
 
 
-def _check_keys(path: str, doc: Mapping, allowed: set) -> None:
-    unknown = sorted(set(doc) - allowed)
+def _section(path: str, raw, fields: Mapping) -> dict:
+    """Check raw against a table; return the checked values, defaults
+    filled, in table order. path is empty for the top level."""
+    where = path or "config"
+    if not isinstance(raw, Mapping):
+        _fail(where, "expected an object")
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
-        _fail(path or "config", f"unknown key(s) {unknown}; allowed keys are {sorted(allowed)}")
+        _fail(where, f"unknown key(s) {unknown}; allowed keys are {sorted(fields)}")
+    out: dict = {}
+    for key, (check, default) in fields.items():
+        sub = f"{path}.{key}" if path else key
+        if key in raw:
+            value = raw[key]
+        elif default is _REQUIRED:
+            _fail(sub, "missing required key")
+        elif default is _OPTIONAL:
+            continue
+        else:
+            value = default(out) if callable(default) else default
+        value = check(value, sub)
+        if value is not _OPTIONAL:
+            out[key] = value
+    return out
 
 
-def _as_mapping(value, path: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        _fail(path, "expected an object")
+def _text(options: Sequence[str] | Mapping | None = None) -> Callable:
+    def check(value, path: str) -> str:
+        if not isinstance(value, str) or not value:
+            _fail(path, "expected a nonempty string")
+        if options is not None and value not in options:
+            _fail(path, f"expected one of {sorted(options)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _integer(lo: int, hi: int | None = None) -> Callable:
+    def check(value, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(path, "expected an integer")
+        if value < lo:
+            _fail(path, f"must be at least {lo}")
+        if hi is not None and value > hi:
+            _fail(path, f"must be at most {hi}")
+        return int(value)
+
+    return check
+
+
+def _number(lo: float | None = None, hi: float | None = None, lo_open: bool = False) -> Callable:
+    def check(value, path: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(path, "expected a number")
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            _fail(path, "must be finite")
+        if lo is not None and (v <= lo if lo_open else v < lo):
+            _fail(path, f"must be {'greater than' if lo_open else 'at least'} {lo}")
+        if hi is not None and v > hi:
+            _fail(path, f"must be at most {hi}")
+        return v
+
+    return check
+
+
+def _list(item: Callable, lo: int = 0, hi: int | None = None) -> Callable:
+    def check(value, path: str) -> list:
+        if not isinstance(value, (list, tuple)):
+            _fail(path, "expected a list")
+        if len(value) < lo:
+            _fail(path, f"expected at least {lo} entries")
+        if hi is not None and len(value) > hi:
+            _fail(path, f"at most {hi} entries")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+    return check
+
+
+def _nullable(check: Callable) -> Callable:
+    return lambda value, path: _OPTIONAL if value is None else check(value, path)
+
+
+def _integrator(value, path: str):
+    if isinstance(value, (list, tuple)):
+        value = _list(_number())(value, path)
+    elif not isinstance(value, str):
+        _fail(path, "expected an integrator name or a list of Taylor coefficients")
+    try:
+        resolve_scheme(value)
+    except (KeyError, ValueError, TypeError) as exc:
+        _fail(path, str(exc))
     return value
 
 
-def _as_str(value, path: str, options: Sequence[str] | None = None) -> str:
-    if not isinstance(value, str) or not value:
-        _fail(path, "expected a nonempty string")
-    if options is not None and value not in options:
-        _fail(path, f"expected one of {sorted(options)}, got {value!r}")
+def _deferred(value, path: str):
+    """A section checked by its own table once the study and family are known."""
     return value
 
 
-def _as_int(value, path: str, lo: int | None = None, hi: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, "expected an integer")
-    if lo is not None and value < lo:
-        _fail(path, f"must be at least {lo}")
-    if hi is not None and value > hi:
-        _fail(path, f"must be at most {hi}")
-    return int(value)
+_family = _text(
+    ("ldg", "ultraweak3", "wave", "conserving_pair", "central", "advection2d", "spectral")
+)
+_FAMILY = (_family, _REQUIRED)
+_DEGREE = (_integer(0, 8), _REQUIRED)
+_FLUX_PERTURBATION = {
+    "amplitude": (_number(0.0, lo_open=True), _REQUIRED),
+    "exponent": (_number(0.0, lo_open=True), _REQUIRED),
+}
+_SCHEME = {
+    "ldg": {
+        "family": _FAMILY, "degree": _DEGREE,
+        "q": (_integer(1, 4), _REQUIRED),
+        "beta": (_number(), _REQUIRED),
+        "theta0": (_number(), 1.0),
+        "thetas": (_list(_number()), []),  # empty: copies of theta0
+    },
+    "ultraweak3": {"family": _FAMILY, "degree": _DEGREE},
+    "wave": {
+        "family": _FAMILY, "degree": _DEGREE,
+        "alpha": (_number(-2.0, 2.0), 0.5),
+        "beta1": (_number(hi=0.0), 0.0),
+        "beta2": (_number(hi=0.0), 0.0),
+        "flux_perturbation": (
+            _nullable(lambda value, path: _section(path, value, _FLUX_PERTURBATION)),
+            _OPTIONAL,
+        ),
+    },
+    "conserving_pair": {"family": _FAMILY, "degree": _DEGREE},
+    "central": {
+        "family": _FAMILY, "degree": _DEGREE,
+        "tau_max_factor": (_number(0.0, 10.0, lo_open=True), 0.35),
+    },
+    "advection2d": {
+        "family": _FAMILY, "degree": _DEGREE,
+        "theta1": (_number(0.5, 1.5), 1.0),
+        "theta2": (_number(0.5, 1.5), 1.0),
+    },
+    "spectral": {"family": _FAMILY, "coupling": (_text(_COUPLINGS), "exchange")},
+}
+
+_MESH = {
+    "mesh": (_text(("uniform", "perturbed")), "uniform"),
+    "perturbation": (_number(0.0, 0.45, lo_open=True), 0.2),  # perturbed meshes only
+}
+_SINGLE_GRID = {"n": (_integer(2, 2048), _REQUIRED), **_MESH}
+_GRID = {
+    "spatial": {"levels": (_list(_integer(2, 1024), lo=2), _REQUIRED), **_MESH},
+    "temporal": _SINGLE_GRID,
+    "stability": _SINGLE_GRID,
+}
+# Tighter per-level caps for the families whose levels cost more.
+_LEVEL_CAP = {"advection2d": 64, "spectral": 96}
+
+_T_FINAL = (_number(0.0, 100.0, lo_open=True), 1.0)
+_TIME = {
+    "spatial": {
+        "integrator": (_integrator, "ssp3"),
+        "t_final": _T_FINAL,
+        "cfl_fraction": (_number(0.0, 1.0, lo_open=True), 0.9),
+        "tau": (_number(0.0, 10.0, lo_open=True), _OPTIONAL),
+        "tau_exponent": (_integer(1, 8), _OPTIONAL),
+    },
+    "temporal": {
+        "integrator": (_integrator, _REQUIRED),
+        "t_final": _T_FINAL,
+        "tau0": (_number(0.0, 10.0, lo_open=True), _REQUIRED),
+        "halvings": (_integer(1, 12), 5),
+        "mode": (_text(("pde", "semidiscrete")), "pde"),
+    },
+    "stability": {"integrator": (_integrator, _REQUIRED)},
+}
+
+_INIT = {
+    "mode": (_text(("l2", "composed", "tensor")), "l2"),
+    "variant": (_text(("direct", "reduced")), "direct"),  # composed mode only
+}
+_REPORT = {
+    key: (_number(-64.0, 64.0), _OPTIONAL)
+    for key in ("assert_rate_min", "assert_rate_max", "assert_slope_max")
+}
+_SCAN = {
+    "lambdas": (
+        _list(_number(0.0, 64.0, lo_open=True), lo=1, hi=200),
+        [round(0.2 * i, 10) for i in range(1, 16)],
+    ),
+    "tolerance": (_number(0.0, 1e-6, lo_open=True), 1e-10),
+    "expect": (_nullable(_text(("empty", "nonempty"))), _OPTIONAL),
+}
+
+_TOP = {
+    "schema": (_text((SCHEMA_VERSION,)), _REQUIRED),
+    "study": (_text(("spatial", "temporal", "stability")), _REQUIRED),
+    "name": (_text(), lambda out: out["study"]),
+    "seed": (_integer(0), DEFAULT_SEED),
+    "description": (_text(), _OPTIONAL),
+    "solution": (_text(solution_catalog()), _OPTIONAL),
+    "scheme": (_deferred, _REQUIRED),
+    "grid": (_deferred, _REQUIRED),
+    "time": (_deferred, {}),
+    "init": (_deferred, _OPTIONAL),
+    "report": (_deferred, _OPTIONAL),
+    "scan": (_deferred, _OPTIONAL),
+}
 
 
-def _as_float(
-    value, path: str, lo: float | None = None, hi: float | None = None,
-    lo_open: bool = False,
-) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, "expected a number")
-    v = float(value)
-    if not np.isfinite(v):
-        _fail(path, "must be finite")
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        _fail(path, f"must be {'greater than' if lo_open else 'at least'} {lo}")
-    if hi is not None and v > hi:
-        _fail(path, f"must be at most {hi}")
-    return v
-
-
-def _validate_scheme(raw: Mapping, solution: ManufacturedSolution | None, study: str) -> dict:
-    raw = _as_mapping(raw, "scheme")
+def _validate_scheme(raw, solution: ManufacturedSolution | None) -> dict:
+    """The family's table over the solution's soft defaults, then the
+    rules no table states: pinned parameters and LDG admissibility."""
+    if not isinstance(raw, Mapping):
+        _fail("scheme", "expected an object")
     if "family" not in raw:
         _fail("scheme", "missing required key 'family'")
-    family = _as_str(raw["family"], "scheme.family", _FAMILIES)
-
-    merged = dict(raw)
+    family = _family(raw["family"], "scheme.family")
+    params: Mapping = {}
     if solution is not None:
         if solution.family != family:
             _fail("scheme.family", (
                 f"solution {solution.name!r} belongs to family "
                 f"{solution.family!r}, not {family!r}"
             ))
-        for key, val in solution.params.items():
-            if key in _PINNED and key in merged:
-                given = merged[key]
-                same = (
-                    given == val if isinstance(val, (int, str))
-                    else abs(float(given) - float(val)) <= 1e-12
-                )
-                if not same:
-                    _fail(f"scheme.{key}", (
-                        f"solution {solution.name!r} pins this to {val!r}; "
-                        "drop the key or pick another solution"
-                    ))
-            merged.setdefault(key, val)
-
-    _check_keys("scheme", merged, _SCHEME_KEYS[family])
-    out: dict = {"family": family}
-    if family != "spectral":
-        if "degree" not in merged:
-            _fail("scheme.degree", "missing required key")
-        out["degree"] = _as_int(merged["degree"], "scheme.degree", 0, 8)
-
+        params = solution.params
+    fields = _SCHEME[family]
+    for key in _PINNED:
+        if key in raw and key in params:
+            given, pinned = fields[key][0](raw[key], f"scheme.{key}"), params[key]
+            same = given == pinned if isinstance(pinned, str) else abs(given - pinned) <= 1e-12
+            if not same:
+                _fail(f"scheme.{key}", (
+                    f"solution {solution.name!r} pins this to {pinned!r}; "
+                    "drop the key or pick another solution"
+                ))
+    out = _section("scheme", {**params, **raw}, fields)
     if family == "ldg":
-        for key in ("q", "beta"):
-            if key not in merged:
-                _fail(f"scheme.{key}", "missing required key (no solution supplies it)")
-        out["q"] = _as_int(merged["q"], "scheme.q", 1, 4)
-        out["beta"] = _as_float(merged["beta"], "scheme.beta")
-        out["theta0"] = _as_float(merged.get("theta0", 1.0), "scheme.theta0")
-        thetas = merged.get("thetas", [])
-        if not isinstance(thetas, (list, tuple)):
-            _fail("scheme.thetas", "expected a list of flux parameters")
-        out["thetas"] = list(_fill_thetas(
-            out["q"], out["theta0"],
-            [_as_float(t, f"scheme.thetas[{i}]") for i, t in enumerate(thetas)],
-        ))
+        out["thetas"] = out["thetas"] or [out["theta0"]] * (out["q"] // 2)
         try:
             check_high_order_admissible(out["q"], out["beta"], out["theta0"])
             high_order_flux_sequence(out["q"], out["theta0"], tuple(out["thetas"]))
         except ValueError as exc:
             _fail("scheme", str(exc))
-    elif family == "wave":
-        out["alpha"] = _as_float(merged.get("alpha", 0.5), "scheme.alpha", -2.0, 2.0)
-        out["beta1"] = _as_float(merged.get("beta1", 0.0), "scheme.beta1", hi=0.0)
-        out["beta2"] = _as_float(merged.get("beta2", 0.0), "scheme.beta2", hi=0.0)
-        pert = merged.get("flux_perturbation")
-        if pert is not None:
-            pert = _as_mapping(pert, "scheme.flux_perturbation")
-            _check_keys("scheme.flux_perturbation", pert, {"amplitude", "exponent"})
-            for key in ("amplitude", "exponent"):
-                if key not in pert:
-                    _fail(f"scheme.flux_perturbation.{key}", "missing required key")
-            out["flux_perturbation"] = {
-                "amplitude": _as_float(
-                    pert["amplitude"], "scheme.flux_perturbation.amplitude", 0.0, lo_open=True
-                ),
-                "exponent": _as_float(
-                    pert["exponent"], "scheme.flux_perturbation.exponent", 0.0, lo_open=True
-                ),
-            }
-    elif family == "central":
-        out["tau_max_factor"] = _as_float(
-            merged.get("tau_max_factor", 0.35), "scheme.tau_max_factor", 0.0, 10.0,
-            lo_open=True,
-        )
-    elif family == "advection2d":
-        out["theta1"] = _as_float(merged.get("theta1", 1.0), "scheme.theta1", 0.5, 1.5)
-        out["theta2"] = _as_float(merged.get("theta2", 1.0), "scheme.theta2", 0.5, 1.5)
-    elif family == "spectral":
-        out["coupling"] = _as_str(
-            merged.get("coupling", "exchange"), "scheme.coupling", sorted(_COUPLINGS)
-        )
     return out
-
-
-def _validate_grid(raw: Mapping, family: str, study: str) -> dict:
-    raw = _as_mapping(raw, "grid")
-    out: dict = {}
-    if study == "spatial":
-        _check_keys("grid", raw, {"levels", "mesh", "perturbation"})
-        if "levels" not in raw:
-            _fail("grid.levels", "missing required key")
-        levels = raw["levels"]
-        if not isinstance(levels, (list, tuple)) or len(levels) < 2:
-            _fail("grid.levels", "expected a list with at least two entries")
-        cap = {"advection2d": 64, "spectral": 96}.get(family, 1024)
-        out["levels"] = [
-            _as_int(n, f"grid.levels[{i}]", 2, cap) for i, n in enumerate(levels)
-        ]
-        if any(b <= a for a, b in zip(out["levels"], out["levels"][1:])):
-            _fail("grid.levels", "entries must increase strictly")
-    else:
-        _check_keys("grid", raw, {"n", "mesh", "perturbation"})
-        if "n" not in raw:
-            _fail("grid.n", "missing required key")
-        out["n"] = _as_int(raw["n"], "grid.n", 2, 2048)
-
-    mesh = _as_str(raw.get("mesh", "uniform"), "grid.mesh", ("uniform", "perturbed"))
-    if mesh == "perturbed" and family in ("advection2d", "spectral"):
-        _fail("grid.mesh", f"the {family} family runs on uniform grids only")
-    out["mesh"] = mesh
-    if "perturbation" in raw:
-        if mesh != "perturbed":
-            _fail("grid.perturbation", "only meaningful when grid.mesh is 'perturbed'")
-        out["perturbation"] = _as_float(
-            raw["perturbation"], "grid.perturbation", 0.0, 0.45, lo_open=True
-        )
-    elif mesh == "perturbed":
-        out["perturbation"] = 0.2
-    return out
-
-
-def _validate_integrator(spec, path: str):
-    if isinstance(spec, (list, tuple)):
-        coeffs = [_as_float(a, f"{path}[{i}]") for i, a in enumerate(spec)]
-        spec = coeffs
-    elif not isinstance(spec, str):
-        _fail(path, "expected an integrator name or a list of Taylor coefficients")
-    try:
-        resolve_scheme(spec)
-    except (KeyError, ValueError, TypeError) as exc:
-        _fail(path, str(exc))
-    return spec
-
-
-def _validate_time(raw: Mapping, family: str, study: str) -> dict:
-    raw = _as_mapping(raw, "time")
-    out: dict = {}
-    if study == "spatial":
-        _check_keys("time", raw, {"integrator", "t_final", "cfl_fraction", "tau", "tau_exponent"})
-        out["integrator"] = _validate_integrator(raw.get("integrator", "ssp3"), "time.integrator")
-        out["t_final"] = _as_float(raw.get("t_final", 1.0), "time.t_final", 0.0, 100.0, lo_open=True)
-        out["cfl_fraction"] = _as_float(
-            raw.get("cfl_fraction", 0.9), "time.cfl_fraction", 0.0, 1.0, lo_open=True
-        )
-        if "tau" in raw:
-            out["tau"] = _as_float(raw["tau"], "time.tau", 0.0, 10.0, lo_open=True)
-        elif family == "spectral":
-            _fail("time.tau", "spectral studies step with a fixed tau; set one")
-        if "tau_exponent" in raw:
-            out["tau_exponent"] = _as_int(raw["tau_exponent"], "time.tau_exponent", 1, 8)
-    elif study == "temporal":
-        _check_keys("time", raw, {"integrator", "t_final", "tau0", "halvings", "mode"})
-        if "integrator" not in raw:
-            _fail("time.integrator", "missing required key")
-        out["integrator"] = _validate_integrator(raw["integrator"], "time.integrator")
-        out["t_final"] = _as_float(raw.get("t_final", 1.0), "time.t_final", 0.0, 100.0, lo_open=True)
-        if "tau0" not in raw:
-            _fail("time.tau0", "missing required key")
-        out["tau0"] = _as_float(raw["tau0"], "time.tau0", 0.0, 10.0, lo_open=True)
-        out["halvings"] = _as_int(raw.get("halvings", 5), "time.halvings", 1, 12)
-        out["mode"] = _as_str(raw.get("mode", "pde"), "time.mode", ("pde", "semidiscrete"))
-    else:
-        _check_keys("time", raw, {"integrator"})
-        if "integrator" not in raw:
-            _fail("time.integrator", "missing required key")
-        out["integrator"] = _validate_integrator(raw["integrator"], "time.integrator")
-    return out
-
-
-def _validate_init(raw: Mapping, scheme: Mapping, study: str) -> dict:
-    raw = _as_mapping(raw, "init")
-    _check_keys("init", raw, {"mode", "variant"})
-    mode = _as_str(raw.get("mode", "l2"), "init.mode", ("l2", "composed", "tensor"))
-    family = scheme["family"]
-    out = {"mode": mode}
-    if mode == "composed":
-        if family != "ldg":
-            _fail("init.mode", "the composed projection applies to the ldg family only")
-        seq = high_order_flux_sequence(scheme["q"], scheme["theta0"], tuple(scheme["thetas"]))
-        if any(abs(t - 0.5) < 1e-3 for t in seq):
-            _fail("init.mode", (
-                "composed initial data needs every flux parameter away from "
-                "1/2; adjust theta0/thetas or use mode 'l2'"
-            ))
-        variant = _as_str(raw.get("variant", "direct"), "init.variant", ("direct", "reduced"))
-        if variant == "reduced" and scheme["degree"] < 1:
-            _fail("init.variant", "the reduced construction needs degree >= 1")
-        out["variant"] = variant
-    else:
-        if "variant" in raw:
-            _fail("init.variant", "only meaningful when init.mode is 'composed'")
-        if mode == "tensor" and family != "advection2d":
-            _fail("init.mode", "tensor initial data applies to the advection2d family only")
-    return out
-
-
-def _validate_report(raw: Mapping, family: str, study: str) -> dict:
-    raw = _as_mapping(raw, "report")
-    _check_keys("report", raw, {"assert_rate_min", "assert_rate_max", "assert_slope_max"})
-    out: dict = {}
-    spectral = family == "spectral"
-    for key in ("assert_rate_min", "assert_rate_max"):
-        if key in raw:
-            if spectral:
-                _fail(f"report.{key}", "spectral studies assert through assert_slope_max")
-            out[key] = _as_float(raw[key], f"report.{key}", -64.0, 64.0)
-    if "assert_slope_max" in raw:
-        if not spectral:
-            _fail("report.assert_slope_max", "only spectral studies fit a semilog slope")
-        out["assert_slope_max"] = _as_float(raw["assert_slope_max"], "report.assert_slope_max", -64.0, 64.0)
-    return out
-
-
-def _validate_scan(raw: Mapping) -> dict:
-    raw = _as_mapping(raw, "scan")
-    _check_keys("scan", raw, {"lambdas", "tolerance", "expect"})
-    lambdas = raw.get("lambdas", [round(0.2 * i, 10) for i in range(1, 16)])
-    if not isinstance(lambdas, (list, tuple)) or not lambdas:
-        _fail("scan.lambdas", "expected a nonempty list of positive numbers")
-    if len(lambdas) > 200:
-        _fail("scan.lambdas", "at most 200 scan points")
-    out = {
-        "lambdas": [
-            _as_float(v, f"scan.lambdas[{i}]", 0.0, 64.0, lo_open=True)
-            for i, v in enumerate(lambdas)
-        ],
-        "tolerance": _as_float(raw.get("tolerance", 1e-10), "scan.tolerance", 0.0, 1e-6, lo_open=True),
-    }
-    if raw.get("expect") is not None:
-        out["expect"] = _as_str(raw["expect"], "scan.expect", ("empty", "nonempty"))
-    return out
-
-
-def _dof_estimate(scheme: Mapping, n: int) -> int:
-    family = scheme["family"]
-    if family == "spectral":
-        return (2 * n + 1) * 2
-    k1 = scheme["degree"] + 1
-    if family == "advection2d":
-        return n * n * k1 * k1
-    return _FIELD_COUNT[family] * n * k1
 
 
 def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
@@ -1256,66 +1173,81 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
     assemblers would reject later. The result is JSON-serializable and
     revalidates to itself.
     """
-    doc = _as_mapping(doc, "config")
-    _check_keys(
-        "config", doc,
-        {"schema", "name", "study", "seed", "description", "solution",
-         "scheme", "grid", "time", "init", "report", "scan"},
-    )
-    if "schema" not in doc:
-        _fail("schema", "missing required key")
-    schema = _as_str(doc["schema"], "schema")
-    if schema != SCHEMA_VERSION:
-        _fail("schema", f"unsupported value {schema!r}; this build reads {SCHEMA_VERSION!r}")
-    if "study" not in doc:
-        _fail("study", "missing required key")
-    study = _as_str(doc["study"], "study", ("spatial", "temporal", "stability"))
+    out = _section("", doc, _TOP)
+    study = out["study"]
     if expect_study is not None and study != expect_study:
         _fail("study", f"expected a {expect_study} study, got {study!r}")
-
-    out: dict = {"schema": schema, "study": study}
-    out["name"] = _as_str(doc.get("name", study), "name")
-    out["seed"] = _as_int(doc.get("seed", DEFAULT_SEED), "seed", 0)
-    if "description" in doc:
-        out["description"] = _as_str(doc["description"], "description")
-
-    catalog = solution_catalog()
-    solution = None
-    if "solution" in doc:
-        name = _as_str(doc["solution"], "solution")
-        if name not in catalog:
-            _fail("solution", f"unknown solution {name!r}; available: {sorted(catalog)}")
-        solution = catalog[name]
-        out["solution"] = name
-    elif study != "stability":
+    solution = solution_catalog().get(out.get("solution"))
+    if solution is None and study != "stability":
         _fail("solution", "missing required key (stability scans may omit it)")
 
-    if "scheme" not in doc:
-        _fail("scheme", "missing required key")
-    out["scheme"] = _validate_scheme(doc["scheme"], solution, study)
-    family = out["scheme"]["family"]
+    scheme = out["scheme"] = _validate_scheme(out["scheme"], solution)
+    family = scheme["family"]
 
-    if "grid" not in doc:
-        _fail("grid", "missing required key")
-    out["grid"] = _validate_grid(doc["grid"], family, study)
-    out["time"] = _validate_time(doc.get("time", {}), family, study)
+    raw_grid = out["grid"]
+    grid = out["grid"] = _section("grid", raw_grid, _GRID[study])
+    levels, cap = grid.get("levels", []), _LEVEL_CAP.get(family)
+    for i, n in enumerate(levels):
+        if cap is not None and n > cap:
+            _fail(f"grid.levels[{i}]", f"must be at most {cap} for {family}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        _fail("grid.levels", "entries must increase strictly")
+    if grid["mesh"] == "perturbed":
+        if family in ("advection2d", "spectral"):
+            _fail("grid.mesh", f"the {family} family runs on uniform grids only")
+    else:
+        if "perturbation" in raw_grid:
+            _fail("grid.perturbation", "only meaningful when grid.mesh is 'perturbed'")
+        del grid["perturbation"]
+
+    time = out["time"] = _section("time", out["time"], _TIME[study])
+    if study == "spatial" and family == "spectral" and "tau" not in time:
+        _fail("time.tau", "spectral studies step with a fixed tau; set one")
 
     if study == "stability":
         for key in ("init", "report"):
-            if key in doc:
+            if key in out:
                 _fail(key, "stability scans assert through scan.expect, not this section")
-        out["scan"] = _validate_scan(doc.get("scan", {}))
+        out["scan"] = _section("scan", out.get("scan", {}), _SCAN)
         return out
-
-    if "scan" in doc:
+    if "scan" in out:
         _fail("scan", "only stability scans take a scan section")
-    out["init"] = _validate_init(doc.get("init", {}), out["scheme"], study)
-    out["report"] = _validate_report(doc.get("report", {}), family, study)
+
+    raw_init = out.pop("init", {})
+    init = out["init"] = _section("init", raw_init, _INIT)
+    if init["mode"] == "composed":
+        if family != "ldg":
+            _fail("init.mode", "the composed projection applies to the ldg family only")
+        seq = high_order_flux_sequence(scheme["q"], scheme["theta0"], tuple(scheme["thetas"]))
+        if any(abs(t - 0.5) < 1e-3 for t in seq):
+            _fail("init.mode", (
+                "composed initial data needs every flux parameter away from "
+                "1/2; adjust theta0/thetas or use mode 'l2'"
+            ))
+        if init["variant"] == "reduced" and scheme["degree"] < 1:
+            _fail("init.variant", "the reduced construction needs degree >= 1")
+    else:
+        if "variant" in raw_init:
+            _fail("init.variant", "only meaningful when init.mode is 'composed'")
+        del init["variant"]
+        if init["mode"] == "tensor" and family != "advection2d":
+            _fail("init.mode", "tensor initial data applies to the advection2d family only")
+
+    out["report"] = _section("report", out.pop("report", {}), _REPORT)
+    spectral = family == "spectral"
+    for key in out["report"]:
+        if (key == "assert_slope_max") != spectral:
+            _fail(f"report.{key}", (
+                "spectral studies assert through assert_slope_max" if spectral
+                else "only spectral studies fit a semilog slope"
+            ))
 
     if study == "temporal":
         if family == "spectral":
             _fail("scheme.family", "temporal studies need a matrix operator; spectral is spatial-only")
-        dofs = _dof_estimate(out["scheme"], out["grid"]["n"])
+        n, k1 = grid["n"], scheme["degree"] + 1
+        n_fields = 2 if family in ("wave", "conserving_pair", "central") else 1
+        dofs = (n * k1) ** 2 if family == "advection2d" else n_fields * n * k1
         if dofs > 2000:
             _fail("grid.n", (
                 f"temporal studies compare against a dense matrix exponential; "
@@ -1386,7 +1318,15 @@ def study_to_dict(result: StudyResult) -> dict:
 
 
 def write_report(result: StudyResult, out_dir: str, stem: str, fmt: str = "both") -> list[str]:
-    """Serialize a study result as CSV and/or JSON; returns paths written."""
+    """Serialize a study result as CSV and/or JSON; returns paths written.
+
+    A result holding a non-finite number is a numerical failure: it is
+    refused before any file is written, since JSON has no NaN.
+    """
+    try:
+        text = json.dumps(study_to_dict(result), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"study {result.name!r} produced a non-finite value: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     if fmt in ("csv", "both"):
@@ -1408,8 +1348,7 @@ def write_report(result: StudyResult, out_dir: str, stem: str, fmt: str = "both"
     if fmt in ("json", "both"):
         path = os.path.join(out_dir, stem + ".json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(study_to_dict(result), fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         paths.append(path)
     return paths
 
@@ -1619,7 +1558,7 @@ def check_projections(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     ]
     worst_direct, worst_reduced, worst_mean = 0.0, 0.0, 0.0
     for mesh, k, q, beta, th0 in combos:
-        ths = _fill_thetas(q, th0, ())
+        ths = (th0,) * (q // 2)
         op = assemble_high_order_lh(mesh, k, q, beta, theta0=th0, thetas=ths)
         action = lambda x, beta=beta, q=q: beta * w.deriv(q)(x)
         proj = composed_projection(w, mesh, k, q, theta0=th0, thetas=ths, npts=k + 8)

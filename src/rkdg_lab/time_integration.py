@@ -184,7 +184,8 @@ def evolve(
 
     When cfl_limit is given, tau * |L| is checked against it once up
     front (|L| measured unless op_norm passes it in); a violation warns,
-    or raises NumericalError under strict_cfl.
+    or raises NumericalError under strict_cfl. A march whose final state
+    is not finite has diverged and raises NumericalError.
     """
     if tau <= 0 or t_final < 0:
         raise ValueError("step size must be positive and horizon nonnegative")
@@ -214,9 +215,12 @@ def evolve(
         u = rk_step(op, u, remainder, scheme)
         if record_norms:
             norms.append(float(np.linalg.norm(u)))
+    n_steps = n_full + (1 if remainder > 0 else 0)
+    if not np.all(np.isfinite(u)):
+        raise NumericalError(f"march diverged: the state is not finite after {n_steps} steps")
     return EvolveResult(
         state=u,
-        n_steps=n_full + (1 if remainder > 0 else 0),
+        n_steps=n_steps,
         tau=tau,
         final_step=remainder if remainder > 0 else tau,
         norms=tuple(norms) if record_norms else None,

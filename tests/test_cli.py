@@ -67,6 +67,25 @@ def test_converge_redirects_stability_configs(capsys, write_config):
     assert "stability-scan" in capsys.readouterr().err
 
 
+def test_diverged_march_exits_three_without_reports(tmp_path, capsys, write_config):
+    """Forward Euler at tau |L| of 7 to 10 times its budget overflows within
+    400 steps; the run fails numerically instead of reporting NaN."""
+    doc = {
+        "schema": "rkdg-lab-config/1",
+        "study": "spatial",
+        "solution": "advection_sin",
+        "scheme": {"family": "ldg", "degree": 3},
+        "grid": {"levels": [8, 12]},
+        "time": {"integrator": "euler", "tau": 0.25, "t_final": 100},
+        "report": {"assert_rate_min": 1},
+    }
+    path = write_config(doc, "diverge.json")
+    out_dir = tmp_path / "out"
+    assert main(["converge", "--config", path, "--out", str(out_dir)]) == 3
+    assert "diverged" in capsys.readouterr().err
+    assert not list(out_dir.glob("*"))
+
+
 def test_stability_scan_runs_and_reports(tmp_path, capsys, write_config):
     path = write_config(stability_doc(), "scan.json")
     code = main(["stability-scan", "--config", path, "--out", str(tmp_path)])

@@ -1,0 +1,98 @@
+"""The declarative config tables: the validator is total over mutated
+shipped configs, and the README documents every key the tables accept."""
+
+import copy
+import json
+import math
+import pathlib
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rkdg_lab import ConfigError, harness, validate_config
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED = [json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))]
+
+TABLES = [
+    harness._TOP,
+    *harness._SCHEME.values(),
+    harness._FLUX_PERTURBATION,
+    *harness._GRID.values(),
+    *harness._TIME.values(),
+    harness._INIT,
+    harness._REPORT,
+    harness._SCAN,
+]
+TABLE_KEYS = sorted({key for table in TABLES for key in table})
+
+SECTION_KEYS = {
+    (): harness._TOP,
+    ("scheme",): {k for table in harness._SCHEME.values() for k in table},
+    ("scheme", "flux_perturbation"): harness._FLUX_PERTURBATION,
+    ("grid",): {k for table in harness._GRID.values() for k in table},
+    ("time",): {k for table in harness._TIME.values() for k in table},
+    ("init",): harness._INIT,
+    ("report",): harness._REPORT,
+    ("scan",): harness._SCAN,
+}
+VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, 0, -1, 0.5, 10**400, "x"]),
+    st.sampled_from([
+        "rkdg-lab-config/1", "spatial", "temporal", "stability", "advection_sin",
+        "heat_sin", "wave_sin", "ldg", "wave", "central", "advection2d", "spectral",
+        "exchange", "perturbed", "ssp3", "euler", "semidiscrete", "composed", "tensor",
+        "reduced", "empty",
+    ]),
+    st.sampled_from([[], [1], [8, 12], [1.0, 1.0, 0.5], {}, {"a": 1}, {"mode": "composed"}]),
+)
+
+
+def _containers(doc, path=()):
+    yield path, doc
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
+            yield from _containers(value, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config after one or two edits. Each edit picks a section
+    or list and a key, then deletes the key, sets it to a value from the
+    pool, or adds it. Added keys are the section's table keys or an
+    unknown one."""
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 2))):
+        path, target = draw(st.sampled_from(list(_containers(doc))))
+        value = copy.deepcopy(draw(VALUES))
+        if isinstance(target, list):
+            if target:
+                target[draw(st.integers(0, len(target) - 1))] = value
+            continue
+        keys = sorted(set(target) | set(SECTION_KEYS.get(path, ())) | {"bogus"})
+        key = draw(st.sampled_from(keys))
+        if key in target and draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = value
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=500, database=None)
+@given(mutated_configs())
+def test_validator_is_total(doc):
+    """Every document is refused with ConfigError, or validates to strict
+    JSON that revalidates to itself."""
+    try:
+        out = validate_config(doc)
+    except ConfigError:
+        return
+    text = json.dumps(out, allow_nan=False)
+    assert json.dumps(validate_config(json.loads(text))) == text
+
+
+def test_readme_documents_every_table_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    missing = [k for k in TABLE_KEYS if f"`{k}`" not in section and f"`{k}:" not in section]
+    assert not missing, f"README config section does not mention {missing}"

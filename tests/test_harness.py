@@ -2,9 +2,11 @@
 per-level assembly, the three study drivers, reports, and the check
 batteries."""
 
+import dataclasses
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from rkdg_lab import (
     ConfigError,
     DEFAULT_SEED,
+    NumericalError,
     build_operator,
     check_operators,
     check_projections,
@@ -28,6 +31,7 @@ from rkdg_lab import (
     validate_config,
     write_report,
 )
+from rkdg_lab import harness
 
 CATALOG_NAMES = [
     "advection_sin",
@@ -157,6 +161,9 @@ def test_validate_fills_defaults_and_is_idempotent(tiny_advection_config):
         (lambda d: d.update(init={"variant": "direct"}), "init.variant"),
         (lambda d: d.update(report={"assert_slope_max": -0.5}), "assert_slope_max"),
         (lambda d: d["time"].update(tau0=0.1), "time"),
+        (lambda d: d["scheme"].update(beta=[1]), "scheme.beta"),
+        (lambda d: d["scheme"].update(beta="x"), "scheme.beta"),
+        (lambda d: d["scheme"].update(beta=None), "scheme.beta"),
     ],
 )
 def test_validate_rejects_malformed_documents(tiny_advection_config, mangle, fragment):
@@ -334,6 +341,31 @@ def test_temporal_study_semidiscrete_smoke():
     assert taus == sorted(taus, reverse=True)
 
 
+def test_mu_gate_scales_with_the_operator_norm():
+    """q = 3, k = 3 on 128 cells: round-off leaves mu near 4e-8, far above
+    any fixed tolerance, but under 1e-15 of |L|. The relative gate lets
+    the study run and still refuses mu = 1e-9 |L|."""
+    doc = {
+        "schema": "rkdg-lab-config/1",
+        "study": "temporal",
+        "solution": "dispersive_sin",
+        "scheme": {"family": "ldg", "degree": 3},
+        "grid": {"n": 128},
+        "time": {
+            "integrator": "rk4", "t_final": 1e-6, "tau0": 2e-8,
+            "halvings": 1, "mode": "semidiscrete",
+        },
+    }
+    level = run_study(doc).levels[0]
+    assert level.mu > 1e-8
+    assert level.mu < 1e-14 * level.op_norm
+
+    problem = SimpleNamespace(label="n=8")
+    with pytest.raises(NumericalError):
+        harness._gate_mu(problem, 1e-9 * 7e7, 7e7)
+    harness._gate_mu(problem, 1e-11 * 7e7, 7e7)
+
+
 def test_stability_study_flags_unstable_pairings():
     doc = {
         "schema": "rkdg-lab-config/1",
@@ -383,6 +415,16 @@ def test_write_report_formats(tmp_path, tiny_advection_config):
     assert len(doc["levels"]) == 3
     round_trip = study_to_dict(result)
     assert round_trip == doc
+
+
+def test_write_report_refuses_non_finite_numbers(tmp_path, tiny_advection_config):
+    """JSON has no NaN: such a result is a numerical failure, and no file
+    of the report is written."""
+    result = run_study(tiny_advection_config())
+    broken = dataclasses.replace(result, fitted_rate=float("nan"))
+    with pytest.raises(NumericalError):
+        write_report(broken, str(tmp_path / "out"), "tiny")
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_write_report_stability_rows(tmp_path):

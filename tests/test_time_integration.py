@@ -141,6 +141,13 @@ def test_evolve_validates_inputs():
         evolve(op, np.array([1.0]), 0.1, -1.0, resolve_scheme("euler"))
 
 
+def test_evolve_raises_when_the_march_diverges():
+    """1001^400 overflows to inf: a diverged march is a numerical failure,
+    never a non-finite state handed back to the caller."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="diverged"):
+        evolve(lambda v: 1e3 * v, np.ones(3), 1.0, 400.0, resolve_scheme("euler"))
+
+
 def test_cfl_gate_warns_or_raises():
     mesh = Mesh1D.uniform(16)
     op = assemble_high_order_lh(mesh, 1, 1, -1.0, theta0=1.0)
