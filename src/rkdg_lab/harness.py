@@ -708,6 +708,14 @@ def _resolve_solution(config: Mapping) -> tuple[ManufacturedSolution, float]:
     return solution, defect
 
 
+def _require_finite_errors(labels: Sequence[str], levels: Sequence[LevelResult]) -> None:
+    """A level whose error is inf or NaN (the march stayed finite but the
+    error overflowed) is a numerical failure, not a point to fit."""
+    for label, lv in zip(labels, levels):
+        if not math.isfinite(lv.error):
+            raise NumericalError(f"level {label} has a non-finite error ({lv.error})")
+
+
 def _gate_mu(problem: Problem, mu: float, op_norm: float) -> None:
     if mu > MU_GATE * op_norm:
         raise NumericalError(
@@ -753,6 +761,7 @@ def run_spatial(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> 
         )
 
     level_results = _parallel_map(run_level, list(range(len(problems))), jobs)
+    _require_finite_errors([p.label for p in problems], level_results)
     scales = [lv.scale for lv in level_results]
     errors = [lv.error for lv in level_results]
     fitted, pairwise = (fit_semilog if spectral else fit_loglog)(scales, errors)
@@ -817,6 +826,7 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
         )
 
     level_results = _parallel_map(run_one, taus, jobs)
+    _require_finite_errors([f"tau={tau:.3e}" for tau in taus], level_results)
     flags = []
     if mode == "pde":
         smallest_raw = min(lv.extra["raw_error"] for lv in level_results)

@@ -175,7 +175,7 @@ class SymbolOperator:
         return self.a_matrices[0].shape[0]
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.symbols, coeffs)
+        return np.matmul(self.symbols, coeffs[..., None])[..., 0]
 
     def norm(self) -> float:
         """max over modes of the spectral norm of sum k_i A_i (the

@@ -9,6 +9,13 @@ so schemes are represented by their coefficient tuple (alpha_0..alpha_s)
 and applied by Horner's rule with matrix-vector products only. The
 linear order is read off the coefficients: p is the largest index
 through which alpha_i = 1/i!.
+
+Each march binds its step v -> tau L v once (`_scaled_apply`); for a
+real CSR operator that is scipy's CSR matvec kernel, so every state is
+bitwise the one plain Horner with `tau * (L @ v)` gives, without the
+per-product scipy.sparse dispatch. L and tau are never folded into a
+precomputed R(tau L): a rounded R applied N times drifts by about N eps,
+Horner's per-step rounding by about sqrt(N) eps.
 """
 
 from __future__ import annotations
@@ -20,16 +27,26 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+
+# The kernel behind `csr_matrix @ vector` (scipy's _matmul_vector calls it
+# on a zeroed output), bound directly to skip the per-product dispatch.
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .core_fem import NumericalError
 from .dg_ops1d import LinearOperator, operator_norm
 
 
 def _horner(alphas: Sequence[float], u, apply: Callable):
-    """sum_i alpha_i A^i u by Horner's rule, where apply(v) = A v."""
+    """sum_i alpha_i A^i u by Horner's rule, where apply(v) = A v.
+
+    apply must return a new array (or scalar): the sum accumulates into
+    it in place.
+    """
     v = alphas[-1] * u
     for a in alphas[-2::-1]:
-        v = a * u + apply(v)
+        v = apply(v)
+        v += a * u
     return v
 
 
@@ -142,16 +159,45 @@ def resolve_scheme(spec) -> RKScheme:
     return custom_rk(tuple(spec))
 
 
-def _as_apply(op) -> Callable:
+def _scaled_apply(op, tau: float, u: np.ndarray) -> Callable:
+    """v -> tau * L v for states shaped and typed like u, bound once.
+
+    op is a callable, an object with an apply method, or a matrix. A
+    real CSR matrix (bare or in a LinearOperator) acting on a real
+    vector runs the CSR matvec kernel directly; the sums and their order
+    are those of `mat @ v`, so the result is bitwise `tau * (mat @ v)`.
+    Everything else falls back to exactly that expression.
+    """
+    mat = op.mat if isinstance(op, LinearOperator) else op
+    if (
+        sp.issparse(mat)
+        and mat.format == "csr"
+        and mat.dtype == np.float64
+        and u.dtype == np.float64
+        and u.shape == (mat.shape[1],)
+    ):
+        n_rows, n_cols = mat.shape
+        indptr, indices, data = mat.indptr, mat.indices, mat.data
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            out = np.zeros(n_rows)
+            _csr_matvec(n_rows, n_cols, indptr, indices, data, v, out)
+            out *= tau
+            return out
+
+        return apply
     if callable(op):
-        return op
-    return op.apply
+        apply_l = op
+    elif hasattr(op, "apply"):
+        apply_l = op.apply
+    else:
+        apply_l = mat.__matmul__
+    return lambda v: tau * apply_l(v)
 
 
 def rk_step(op, u: np.ndarray, tau: float, scheme: RKScheme) -> np.ndarray:
     """One step u -> R(tau L) u by Horner's rule; s applications of L."""
-    apply_l = _as_apply(op)
-    return _horner(scheme.alphas, u, lambda v: tau * apply_l(v))
+    return _horner(scheme.alphas, u, _scaled_apply(op, tau, np.asarray(u)))
 
 
 class StabilityWarning(UserWarning):
@@ -185,7 +231,9 @@ def evolve(
     When cfl_limit is given, tau * |L| is checked against it once up
     front (|L| measured unless op_norm passes it in); a violation warns,
     or raises NumericalError under strict_cfl. A march whose final state
-    is not finite has diverged and raises NumericalError.
+    is not finite has diverged and raises NumericalError; the state is
+    also checked whenever the step count is a power of two, so a march
+    that overflows stops within twice its steps-to-overflow.
     """
     if tau <= 0 or t_final < 0:
         raise ValueError("step size must be positive and horizon nonnegative")
@@ -207,17 +255,19 @@ def evolve(
 
     u = np.array(u0, copy=True)
     norms = [float(np.linalg.norm(u))] if record_norms else None
-    for _ in range(n_full):
-        u = rk_step(op, u, tau, scheme)
-        if record_norms:
-            norms.append(float(np.linalg.norm(u)))
-    if remainder > 0.0:
-        u = rk_step(op, u, remainder, scheme)
-        if record_norms:
-            norms.append(float(np.linalg.norm(u)))
     n_steps = n_full + (1 if remainder > 0 else 0)
-    if not np.all(np.isfinite(u)):
-        raise NumericalError(f"march diverged: the state is not finite after {n_steps} steps")
+    step = _scaled_apply(op, tau, u)
+    k = 0
+    for k in range(1, n_steps + 1):
+        if k > n_full:
+            step = _scaled_apply(op, remainder, u)
+        u = _horner(scheme.alphas, u, step)
+        if record_norms:
+            norms.append(float(np.linalg.norm(u)))
+        if k & (k - 1) == 0 and not np.isfinite(u).all():
+            break
+    if not np.isfinite(u).all():
+        raise NumericalError(f"march diverged: the state is not finite after {k} steps")
     return EvolveResult(
         state=u,
         n_steps=n_steps,
@@ -245,14 +295,15 @@ def amplification_norm(op, scheme: RKScheme, tau: float, *, seed: int = 7) -> fl
         r = _horner(scheme.alphas, eye, lambda v: tau * (stack @ v))
         return float(np.linalg.norm(r, 2, axis=(-2, -1)).max())
 
-    apply_l = _as_apply(op)
     mat_t = mat.T.tocsr() if hasattr(mat, "tocsr") else np.asarray(mat).T
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mat.shape[0])
     v /= np.linalg.norm(v)
+    step = _scaled_apply(op, tau, v)
+    step_t = _scaled_apply(mat_t, tau, v)
     sigma = 0.0
     for _ in range(5000):
-        z = rk_step(lambda w: mat_t @ w, rk_step(apply_l, v, tau, scheme), tau, scheme)
+        z = _horner(scheme.alphas, _horner(scheme.alphas, v, step), step_t)
         zn = np.linalg.norm(z)
         if zn == 0.0:
             return 0.0

@@ -319,6 +319,26 @@ def test_spatial_study_rate_assertions(tiny_advection_config):
     assert bad.passed is False
 
 
+@pytest.mark.filterwarnings("ignore")
+def test_non_finite_level_error_is_a_numerical_failure():
+    """Forward Euler far past its budget: both marches stay finite through
+    t_final = 90, but their errors overflow. run_study raises instead of
+    returning errors [inf, inf] and a NaN rate."""
+    doc = {
+        "schema": "rkdg-lab-config/1",
+        "study": "spatial",
+        "solution": "advection_sin",
+        "scheme": {"family": "ldg", "degree": 3},
+        "grid": {"levels": [8, 10]},
+        "time": {"integrator": "euler", "tau": 0.25, "t_final": 90},
+        "report": {"assert_rate_min": 1},
+    }
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match="level n=8 has a non-finite error"
+    ):
+        run_study(doc)
+
+
 def test_temporal_study_semidiscrete_smoke():
     doc = {
         "schema": "rkdg-lab-config/1",

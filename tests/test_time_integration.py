@@ -19,14 +19,19 @@ from rkdg_lab import (
     SymbolOperator,
     amplification_norm,
     assemble_high_order_lh,
+    assemble_ultraweak_third,
+    build_problem,
     custom_rk,
     evolve,
     expm_reference,
+    operator_norm,
     resolve_scheme,
     rk_step,
     sigma_factor,
+    solution_catalog,
     taylor_rk,
     two_step_rk4,
+    validate_config,
 )
 
 
@@ -148,6 +153,26 @@ def test_evolve_raises_when_the_march_diverges():
         evolve(lambda v: 1e3 * v, np.ones(3), 1.0, 400.0, resolve_scheme("euler"))
 
 
+def test_evolve_stops_a_diverged_march_early():
+    """The level-12 operator of the forward-Euler divergence repro (ldg
+    k=3, tau 0.25) first overflows at step 345. The state is checked at
+    every power-of-two step count, so a 4,000-step march stops at 512."""
+    doc = {
+        "schema": "rkdg-lab-config/1",
+        "study": "spatial",
+        "solution": "advection_sin",
+        "scheme": {"family": "ldg", "degree": 3},
+        "grid": {"levels": [8, 12]},
+        "time": {"integrator": "euler", "tau": 0.25, "t_final": 100},
+    }
+    config = validate_config(doc)
+    problem = build_problem(config, solution_catalog()["advection_sin"], 12)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match="not finite after 512 steps"
+    ):
+        evolve(problem.op, problem.prepare(0.0), 0.25, 1000.0, resolve_scheme("euler"))
+
+
 def test_cfl_gate_warns_or_raises():
     mesh = Mesh1D.uniform(16)
     op = assemble_high_order_lh(mesh, 1, 1, -1.0, theta0=1.0)
@@ -157,6 +182,95 @@ def test_cfl_gate_warns_or_raises():
         evolve(op, u0, 1.0, 1.0, scheme, cfl_limit=1e-3)
     with pytest.raises(NumericalError):
         evolve(op, u0, 1.0, 1.0, scheme, cfl_limit=1e-3, strict_cfl=True)
+
+
+# ---------------------------------------------------------------------------
+# The bound step is bitwise plain Horner
+# ---------------------------------------------------------------------------
+
+
+def reference_step(apply_l, u, tau, alphas):
+    """One step of R(tau L) u by Horner's rule, written out plainly."""
+    v = alphas[-1] * u
+    for a in alphas[-2::-1]:
+        v = a * u + tau * apply_l(v)
+    return v
+
+
+def assert_march_is_plain_horner(op, apply_l, u0, tau, t_final, scheme):
+    """evolve (with a short last step and recorded norms) reproduces the
+    plain march bit for bit."""
+    res = evolve(op, u0, tau, t_final, scheme, record_norms=True)
+    assert res.final_step < tau
+    u = u0
+    norms = [float(np.linalg.norm(u))]
+    for length in [tau] * (res.n_steps - 1) + [res.final_step]:
+        u = reference_step(apply_l, u, length, scheme.alphas)
+        norms.append(float(np.linalg.norm(u)))
+    assert res.state.dtype == u.dtype
+    assert np.array_equal(res.state, u)
+    assert res.norms == tuple(norms)
+
+
+def ultraweak_k3(n):
+    op = assemble_ultraweak_third(Mesh1D.uniform(n), 3)
+    return op, 1.0 / operator_norm(op)
+
+
+def test_evolve_is_plain_horner_on_a_real_sparse_operator():
+    op, tau = ultraweak_k3(8)
+    u0 = np.random.default_rng(3).standard_normal(op.n)
+    assert_march_is_plain_horner(
+        op, lambda v: op.mat @ v, u0, tau, 40.3 * tau, resolve_scheme("ssp3")
+    )
+
+
+def test_evolve_is_plain_horner_on_a_complex_state():
+    op, tau = ultraweak_k3(8)
+    rng = np.random.default_rng(4)
+    u0 = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    assert_march_is_plain_horner(
+        op, lambda v: op.mat @ v, u0, tau, 40.3 * tau, resolve_scheme("ssp3")
+    )
+
+
+def test_evolve_is_plain_horner_on_a_symbol_operator():
+    """The reference applies the symbols by einsum, the formulation the
+    matmul in SymbolOperator.apply must match."""
+    op = SymbolOperator(6, 1, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
+    rng = np.random.default_rng(5)
+    shape = op.symbols.shape[:-1]
+    u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    apply_l = lambda v: np.einsum("...ij,...j->...i", op.symbols, v)
+    assert_march_is_plain_horner(op, apply_l, u0, 0.1, 2.05, resolve_scheme("rk4"))
+
+
+def test_evolve_is_plain_horner_on_a_callable():
+    apply_l = lambda v: np.roll(v, 1) - 0.7 * v
+    u0 = np.random.default_rng(6).standard_normal(10)
+    assert_march_is_plain_horner(apply_l, apply_l, u0, 0.3, 4.0, resolve_scheme("rk4"))
+
+
+@pytest.mark.parametrize("kind", ["operator", "csr", "complex"])
+def test_rk_step_is_plain_horner(kind):
+    op, tau = ultraweak_k3(8)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(op.n)
+    if kind == "complex":
+        u = u + 1j * rng.standard_normal(op.n)
+    scheme = resolve_scheme("two_step_rk4")
+    got = rk_step(op.mat if kind == "csr" else op, u, tau, scheme)
+    assert np.array_equal(got, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
+
+
+def test_rk_step_kernel_benchmark(benchmark):
+    """One ssp3 step on the ultraweak_k3 operator at n = 20 (80 dofs), the
+    finest level of the study that takes the most steps."""
+    op, tau = ultraweak_k3(20)
+    u = np.random.default_rng(8).standard_normal(op.n)
+    scheme = resolve_scheme("ssp3")
+    got = benchmark.pedantic(rk_step, args=(op, u, tau, scheme), rounds=20, iterations=50)
+    assert np.array_equal(got, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
 
 
 # ---------------------------------------------------------------------------
