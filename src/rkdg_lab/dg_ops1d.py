@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,10 +40,18 @@ from .core_fem import (
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """A sparse matrix acting on flattened DG coefficient vectors."""
+    """A sparse matrix acting on flattened DG coefficient vectors.
+
+    layout, when the assembler knows it, is (shape, cell_axes): the
+    vector reshapes to shape, and the axes listed in cell_axes index the
+    cells of a periodic mesh. Scalar and two-field 1D operators use
+    ((fields, n, k+1), (1,)), 2D advection ((n1, k+1, n2, k+1), (0, 2)).
+    The layout is what lets `symbols` read the operator mode by mode.
+    """
 
     mat: sp.csr_matrix
     label: str = ""
+    layout: tuple | None = None
 
     def __post_init__(self):
         m = sp.csr_matrix(self.mat)
@@ -54,6 +63,49 @@ class LinearOperator:
     def n(self) -> int:
         return self.mat.shape[0]
 
+    @cached_property
+    def symbols(self) -> np.ndarray | None:
+        """Per-mode matrices, shape (modes, m, m), when the operator is
+        block circulant over its cell axes; None otherwise.
+
+        The blocks are read from the cell-0 block rows of the matrix and
+        Fourier transformed over the cell axes, so the operator is unitarily
+        similar to the block diagonal of the symbols. They are returned only
+        when the circulant C rebuilt from those rows reproduces the matrix:
+        the bound sqrt(|A - C|_1 |A - C|_inf) >= |A - C|_2 must be at most
+        1e-12 |C|_2. Uniform meshes pass (their widths differ by ulps),
+        perturbed ones do not. Computed on first use and kept.
+        """
+        if self.layout is None:
+            return None
+        shape, cell_axes = self.layout
+        axes = tuple(1 + ax for ax in cell_axes)
+        cell0 = tuple(0 if ax in cell_axes else slice(None) for ax in range(len(shape)))
+        rows = np.arange(self.n).reshape(shape)[cell0].ravel()
+        block_rows = self.mat[rows]
+        symbols = np.fft.fftn(block_rows.toarray().reshape((rows.size,) + shape), axes=axes)
+        symbols = np.moveaxis(symbols, axes, tuple(range(len(axes))))
+        symbols = symbols.reshape(-1, rows.size, rows.size)
+
+        # C repeats every cell-0 entry once per cell shift, with its row
+        # and column cell indices moved by that shift.
+        entries = block_rows.tocoo()
+        row_at = list(np.unravel_index(rows[entries.row], shape))
+        col_at = list(np.unravel_index(entries.col, shape))
+        shifts = np.indices([shape[ax] for ax in cell_axes]).reshape(len(cell_axes), -1, 1)
+        for shift, ax in zip(shifts, cell_axes):
+            row_at[ax] = (row_at[ax] + shift) % shape[ax]
+            col_at[ax] = (col_at[ax] + shift) % shape[ax]
+        data = np.broadcast_to(entries.data, (shifts.shape[1], entries.nnz)).ravel()
+        row_idx = np.ravel_multi_index(np.broadcast_arrays(*row_at), shape).ravel()
+        col_idx = np.ravel_multi_index(np.broadcast_arrays(*col_at), shape).ravel()
+        defect = abs(self.mat - sp.csr_matrix((data, (row_idx, col_idx)), shape=self.mat.shape))
+        bound = np.sqrt(defect.sum(axis=0).max() * defect.sum(axis=1).max())
+        if bound > 1e-12 * _mode_norms(symbols).max():
+            return None
+        symbols.setflags(write=False)
+        return symbols
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.mat @ v
 
@@ -61,13 +113,31 @@ class LinearOperator:
         return self.mat.toarray()
 
     def transpose(self) -> "LinearOperator":
-        return LinearOperator(self.mat.T.tocsr(), label=self.label + "^T")
+        return LinearOperator(self.mat.T.tocsr(), label=self.label + "^T", layout=self.layout)
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        return LinearOperator(self.mat @ other.mat, label=f"{self.label}*{other.label}")
+        layout = self.layout if self.layout == other.layout else None
+        return LinearOperator(
+            self.mat @ other.mat, label=f"{self.label}*{other.label}", layout=layout
+        )
 
     def scaled(self, c: float) -> "LinearOperator":
-        return LinearOperator(self.mat * float(c), label=self.label)
+        return LinearOperator(self.mat * float(c), label=self.label, layout=self.layout)
+
+
+def cell_layout(fields: int, n_cells: int, degree: int) -> tuple:
+    """Layout of field-major, cell-major 1D coefficient vectors."""
+    return ((fields, n_cells, degree + 1), (1,))
+
+
+def _mode_stack(symbols: np.ndarray) -> np.ndarray:
+    """Per-mode matrices flattened to shape (modes, m, m)."""
+    return np.reshape(symbols, (-1,) + symbols.shape[-2:])
+
+
+def _mode_norms(symbols: np.ndarray) -> np.ndarray:
+    """Spectral norm of every per-mode matrix, by one batched SVD."""
+    return np.linalg.norm(_mode_stack(symbols), 2, axis=(-2, -1))
 
 
 def _block_stencil(stencil: np.ndarray) -> sp.csr_matrix:
@@ -134,7 +204,10 @@ def assemble_d_theta(mesh: Mesh1D, degree: int, theta: float) -> LinearOperator:
     (1 - theta) w_plus."""
     stencil = _flux_stencil(mesh, degree, theta, 1.0 - theta)
     stencil[1] += volume_derivative_blocks(mesh, degree)
-    return LinearOperator(_block_stencil(-stencil), label=f"D[theta={theta:g}]")
+    return LinearOperator(
+        _block_stencil(-stencil), label=f"D[theta={theta:g}]",
+        layout=cell_layout(1, mesh.n_cells, degree),
+    )
 
 
 def middle_theta(q: int, theta0: float) -> float:
@@ -224,7 +297,7 @@ def assemble_high_order_lh(
         mat = mat @ f.mat
     mat = beta * mat
     label = f"L[q={q},beta={beta:g}]"
-    return LinearOperator(mat.tocsr(), label=label)
+    return LinearOperator(mat.tocsr(), label=label, layout=factors[0].layout)
 
 
 def assemble_ultraweak_third(mesh: Mesh1D, degree: int) -> LinearOperator:
@@ -251,15 +324,44 @@ def assemble_ultraweak_third(mesh: Mesh1D, degree: int) -> LinearOperator:
         + _flux_stencil(mesh, degree, 0.0, 1.0, trial_order=2, test_order=0)
     )
     stencil[1] += volume_derivative_blocks(mesh, degree, order=3)
-    return LinearOperator(_block_stencil(-stencil), label="L[ultraweak q=3]")
+    return LinearOperator(
+        _block_stencil(-stencil), label="L[ultraweak q=3]",
+        layout=cell_layout(1, mesh.n_cells, degree),
+    )
 
 
-def semiboundedness_mu(op: LinearOperator) -> float:
-    """mu = largest eigenvalue of the symmetric part (A + A^T)/2.
+#: Unknowns up to which operators without symbols are measured densely:
+#: operator_norm, amplification_norm and expm_reference up to DENSE_LIMIT,
+#: semiboundedness_mu up to MU_DENSE_LIMIT; power iterations beyond.
+DENSE_LIMIT = 2000
+MU_DENSE_LIMIT = 1500
 
-    <L v, v> <= mu |v|^2 for all v, with equality attained. Dense
-    eigensolve up to n = 1500; sparse Lanczos beyond that."""
-    if op.n <= 1500:
+
+def spectrum_method(op, dense_limit: int = MU_DENSE_LIMIT) -> str:
+    """How op is measured: "modes" when it has per-mode symbols, else
+    "dense" up to dense_limit unknowns and "power" beyond. The default
+    limit is the lower of the two, so "dense" then means that neither
+    |L| nor mu came from a power iteration."""
+    if getattr(op, "symbols", None) is not None:
+        return "modes"
+    mat = op.mat if isinstance(op, LinearOperator) else op
+    return "dense" if mat.shape[0] <= dense_limit else "power"
+
+
+def semiboundedness_mu(op) -> float:
+    """mu = largest eigenvalue of the Hermitian part (A + A^*)/2.
+
+    <L v, v> <= mu |v|^2 for all v, with equality attained. An operator
+    with symbols (a SymbolOperator, or a LinearOperator on a uniform
+    periodic mesh) gives the exact maximum over its per-mode Hermitian
+    parts. Otherwise: dense eigensolve up to MU_DENSE_LIMIT unknowns, a
+    shifted power iteration beyond that."""
+    symbols = getattr(op, "symbols", None)
+    if symbols is not None:
+        stack = _mode_stack(symbols)
+        herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+        return float(np.max(np.linalg.eigvalsh(herm)))
+    if op.n <= MU_DENSE_LIMIT:
         sym = 0.5 * (op.dense() + op.dense().T)
         return float(np.linalg.eigvalsh(sym)[-1])
     # Shifted power iteration: sym + c I is positive semidefinite for
@@ -285,16 +387,25 @@ def semiboundedness_mu(op: LinearOperator) -> float:
 
 
 def operator_norm(
-    op: LinearOperator | np.ndarray,
+    op,
     rtol: float = 1e-8,
     max_iter: int = 5000,
     seed: int = 7,
 ) -> float:
-    """Spectral norm. Dense SVD up to n = 2000, power iteration on A^T A
-    beyond that; raises NumericalError if the iteration stalls."""
+    """Spectral norm.
+
+    An operator with symbols (a SymbolOperator, or a LinearOperator on a
+    uniform periodic mesh) gives the exact maximum over its per-mode
+    singular values. Otherwise: dense SVD up to DENSE_LIMIT unknowns,
+    power iteration on A^T A beyond that, which stops once successive
+    estimates agree to rtol and raises NumericalError if they never do.
+    """
+    symbols = getattr(op, "symbols", None)
+    if symbols is not None:
+        return float(_mode_norms(symbols).max())
     mat = op.mat if isinstance(op, LinearOperator) else sp.csr_matrix(op)
     n = mat.shape[0]
-    if n <= 2000:
+    if n <= DENSE_LIMIT:
         return float(np.linalg.norm(mat.toarray(), 2))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)

@@ -40,6 +40,7 @@ from .core_fem import (
     project_l2,
 )
 from .dg_ops1d import (
+    DENSE_LIMIT,
     assemble_d_theta,
     assemble_high_order_lh,
     assemble_ultraweak_third,
@@ -49,6 +50,7 @@ from .dg_ops1d import (
     operator_norm,
     quadratic_form,
     semiboundedness_mu,
+    spectrum_method,
 )
 from .multidim import (
     DGFunction2D,
@@ -85,6 +87,7 @@ from .time_integration import (
     RKScheme,
     _horner,
     amplification_norm,
+    cfl_violation,
     evolve,
     expm_reference,
     resolve_scheme,
@@ -513,22 +516,6 @@ def build_problem(
     return Problem(op, scale, op.n, meshes, prepare, error, f"n={n}", extra)
 
 
-def _op_norm(op) -> float:
-    if isinstance(op, SymbolOperator):
-        return float(op.norm())
-    return operator_norm(op)
-
-
-def _mu_value(op) -> float:
-    """Semiboundedness constant, branching on the operator representation."""
-    if isinstance(op, SymbolOperator):
-        m = op.n_components
-        flat = op.symbols.reshape(-1, m, m)
-        herm = 0.5 * (flat + np.conj(np.swapaxes(flat, -1, -2)))
-        return float(np.max(np.linalg.eigvalsh(herm)))
-    return semiboundedness_mu(op)
-
-
 # ---------------------------------------------------------------------------
 # Step size policy
 # ---------------------------------------------------------------------------
@@ -738,11 +725,14 @@ def run_spatial(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> 
     t_final = config["time"]["t_final"]
 
     problems = [build_problem(config, solution, n, salt=i) for i, n in enumerate(levels)]
-    norms = _parallel_map(lambda p: _op_norm(p.op), problems, jobs)
-    mus = _parallel_map(lambda p: _mu_value(p.op), problems, jobs)
+    norms = _parallel_map(lambda p: operator_norm(p.op), problems, jobs)
+    mus = _parallel_map(lambda p: semiboundedness_mu(p.op), problems, jobs)
     for problem, mu, nrm in zip(problems, mus, norms):
         _gate_mu(problem, mu, nrm)
     taus, budget, expo = _spatial_taus(config, problems, norms, scheme)
+    # A step past the budget is flagged here and warned about by evolve.
+    flags = [f"level {p.label}: {msg}" for p, tau, nrm in zip(problems, taus, norms)
+             if (msg := cfl_violation(tau, nrm, budget))]
 
     def run_level(i: int) -> LevelResult:
         problem = problems[i]
@@ -757,7 +747,7 @@ def run_spatial(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> 
             n_steps=marched.n_steps, error=total,
             components={k: float(v) for k, v in parts.items()},
             mu=float(mus[i]), op_norm=float(norms[i]),
-            extra=dict(problem.extra),
+            extra={**problem.extra, "spectrum": spectrum_method(problem.op)},
         )
 
     level_results = _parallel_map(run_level, list(range(len(problems))), jobs)
@@ -775,7 +765,7 @@ def run_spatial(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> 
     return StudyResult(
         study="spatial", name=config["name"], config=config,
         levels=tuple(level_results), fitted_rate=fitted, pairwise=tuple(pairwise),
-        assertions=assertions, passed=passed, flags=(), meta=meta,
+        assertions=assertions, passed=passed, flags=tuple(flags), meta=meta,
     )
 
 
@@ -787,8 +777,8 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
     t_final, mode = tcfg["t_final"], tcfg["mode"]
 
     problem = build_problem(config, solution, config["grid"]["n"])
-    nrm = _op_norm(problem.op)
-    mu = _mu_value(problem.op)
+    nrm = operator_norm(problem.op)
+    mu = semiboundedness_mu(problem.op)
     _gate_mu(problem, mu, nrm)
     budget = stability_budget(scheme)
 
@@ -810,7 +800,8 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
             problem.op, state0, tau, t_final, scheme,
             cfl_limit=budget, op_norm=nrm, strict_cfl=strict_cfl,
         )
-        extra = {"amplification": float(amplification_norm(problem.op, scheme, tau))}
+        extra = {"amplification": float(amplification_norm(problem.op, scheme, tau)),
+                 "spectrum": spectrum_method(problem.op)}
         if mode == "pde":
             raw, parts = problem.error(marched.state, t_final)
             adjusted = max(abs(raw - floor), 1e-16)
@@ -826,8 +817,10 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
         )
 
     level_results = _parallel_map(run_one, taus, jobs)
-    _require_finite_errors([f"tau={tau:.3e}" for tau in taus], level_results)
-    flags = []
+    labels = [f"tau={tau:.3e}" for tau in taus]
+    _require_finite_errors(labels, level_results)
+    flags = [f"level {label}: {msg}" for label, tau in zip(labels, taus)
+             if (msg := cfl_violation(tau, nrm, budget))]
     if mode == "pde":
         smallest_raw = min(lv.extra["raw_error"] for lv in level_results)
         if floor > 0.2 * smallest_raw:
@@ -863,7 +856,7 @@ def run_stability(config: Mapping, *, jobs: int = 1) -> StudyResult:
     op, _, _, _ = build_operator(
         config["scheme"], config["grid"], config["grid"]["n"], config["seed"]
     )
-    nrm = _op_norm(op)
+    nrm = operator_norm(op)
 
     def probe(lam: float) -> Mapping:
         tau = lam / nrm
@@ -889,6 +882,7 @@ def run_stability(config: Mapping, *, jobs: int = 1) -> StudyResult:
         "integrator": scheme.name,
         "stable_count": len(stable),
         "max_stable_lambda": max(stable) if stable else None,
+        "spectrum": spectrum_method(op, DENSE_LIMIT),
     }
     return StudyResult(
         study="stability", name=config["name"], config=config, levels=(),
@@ -1210,6 +1204,21 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
             _fail("grid.perturbation", "only meaningful when grid.mesh is 'perturbed'")
         del grid["perturbation"]
 
+    # One cap for the dense-only measurements: a temporal study's reference
+    # exponential, and |R(tau L)| on a perturbed mesh, which has no symbols
+    # and whose power iteration stalls past the limit.
+    if study == "temporal" and family == "spectral":
+        _fail("scheme.family", "temporal studies need a matrix operator; spectral is spatial-only")
+    if study == "temporal" or (study == "stability" and grid["mesh"] == "perturbed"):
+        n, k1 = grid["n"], scheme["degree"] + 1
+        n_fields = 2 if family in ("wave", "conserving_pair", "central") else 1
+        dofs = (n * k1) ** 2 if family == "advection2d" else n_fields * n * k1
+        if dofs > DENSE_LIMIT:
+            what = ("temporal studies compare against a dense matrix exponential"
+                    if study == "temporal" else
+                    "stability scans on perturbed meshes measure |R(tau L)| densely")
+            _fail("grid.n", f"{what}; {dofs} unknowns exceed the {DENSE_LIMIT} limit")
+
     time = out["time"] = _section("time", out["time"], _TIME[study])
     if study == "spatial" and family == "spectral" and "tau" not in time:
         _fail("time.tau", "spectral studies step with a fixed tau; set one")
@@ -1252,17 +1261,6 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
                 else "only spectral studies fit a semilog slope"
             ))
 
-    if study == "temporal":
-        if family == "spectral":
-            _fail("scheme.family", "temporal studies need a matrix operator; spectral is spatial-only")
-        n, k1 = grid["n"], scheme["degree"] + 1
-        n_fields = 2 if family in ("wave", "conserving_pair", "central") else 1
-        dofs = (n * k1) ** 2 if family == "advection2d" else n_fields * n * k1
-        if dofs > 2000:
-            _fail("grid.n", (
-                f"temporal studies compare against a dense matrix exponential; "
-                f"{dofs} unknowns exceed the 2000 limit"
-            ))
     return out
 
 

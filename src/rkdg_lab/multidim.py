@@ -136,7 +136,9 @@ def assemble_advection_2d(
     n2 = a2.shape[0]
     mat = -(sp.kron(a1, sp.identity(n2), format="csr")
             + sp.kron(sp.identity(n1), a2, format="csr"))
-    return LinearOperator(mat.tocsr(), label=f"adv2d[{theta1:g},{theta2:g}]")
+    k1 = degree + 1
+    layout = ((mesh.mesh1.n_cells, k1, mesh.mesh2.n_cells, k1), (0, 2))
+    return LinearOperator(mat.tocsr(), label=f"adv2d[{theta1:g},{theta2:g}]", layout=layout)
 
 
 def pi_tensor_2d(

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .dg_ops1d import operator_norm
+
 
 @dataclass(frozen=True)
 class FourierFunction:
@@ -177,13 +179,17 @@ class SymbolOperator:
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return np.matmul(self.symbols, coeffs[..., None])[..., 0]
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the operator on flattened coefficient arrays."""
+        size = self.symbols.size // self.n_components
+        return (size, size)
+
     def norm(self) -> float:
-        """max over modes of the spectral norm of sum k_i A_i (the
-        symbols are skew-Hermitian, so this is exact, not an estimate)."""
-        flat = self.symbols.reshape(-1, self.n_components, self.n_components)
-        # eigenvalues of -i K are -i times the (real) eigenvalues of K
-        vals = np.linalg.eigvalsh(1j * flat)
-        return float(np.abs(vals).max())
+        """max over modes of the spectral norm of sum k_i A_i, by the
+        per-mode SVD that operator_norm applies to every operator with
+        symbols (exact, not an estimate)."""
+        return operator_norm(self)
 
 
 def apply_symbol(op: SymbolOperator, u: FourierFunction) -> FourierFunction:

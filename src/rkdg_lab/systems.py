@@ -28,6 +28,7 @@ from .dg_ops1d import (
     _flux_stencil,
     _outer,
     assemble_d_theta,
+    cell_layout,
 )
 
 
@@ -63,7 +64,10 @@ def assemble_wave_alphabeta(
     d_w = assemble_d_theta(mesh, degree, 0.5 + alpha).mat
     g_jump = _jump_matrix(mesh, degree)
     mat = sp.bmat([[beta2 * g_jump, d_chi], [d_w, beta1 * g_jump]], format="csr")
-    return LinearOperator(mat, label=f"wave[alpha={alpha:g},b1={beta1:g},b2={beta2:g}]")
+    return LinearOperator(
+        mat, label=f"wave[alpha={alpha:g},b1={beta1:g},b2={beta2:g}]",
+        layout=cell_layout(2, mesh.n_cells, degree),
+    )
 
 
 def assemble_energy_conserving_pair(mesh: Mesh1D, degree: int) -> LinearOperator:
@@ -81,7 +85,9 @@ def assemble_energy_conserving_pair(mesh: Mesh1D, degree: int) -> LinearOperator
     a = -assemble_d_theta(mesh, degree, 0.5).mat
     g_jump = _jump_matrix(mesh, degree)
     mat = sp.bmat([[a, -0.5 * g_jump], [0.5 * g_jump, -a]], format="csr")
-    return LinearOperator(mat, label="energy-conserving pair")
+    return LinearOperator(
+        mat, label="energy-conserving pair", layout=cell_layout(2, mesh.n_cells, degree)
+    )
 
 
 def dual_mesh(primal: Mesh1D) -> Mesh1D:
@@ -183,7 +189,10 @@ def assemble_central_advection(
     ]))
     eye = sp.identity(n_cells * k1, format="csr")
     mat = sp.bmat([[-inv_tau * eye, primal_rows], [dual_rows, -inv_tau * eye]], format="csr")
-    return LinearOperator(mat, label=f"central[tau_max={tau_max:g}]"), dual
+    op = LinearOperator(
+        mat, label=f"central[tau_max={tau_max:g}]", layout=cell_layout(2, n_cells, degree)
+    )
+    return op, dual
 
 
 def stack_fields(*fields: DGFunction) -> np.ndarray:

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .core_fem import NumericalError
-from .dg_ops1d import LinearOperator, operator_norm
+from .dg_ops1d import DENSE_LIMIT, LinearOperator, _mode_stack, operator_norm
 
 
 def _horner(alphas: Sequence[float], u, apply: Callable):
@@ -204,6 +204,13 @@ class StabilityWarning(UserWarning):
     pass
 
 
+def cfl_violation(tau: float, op_norm: float, cfl_limit: float) -> str | None:
+    """What is wrong when tau * |L| exceeds the budget cfl_limit, or None."""
+    if tau * op_norm > cfl_limit * (1 + 1e-12):
+        return f"tau * |L| = {tau * op_norm:.4e} exceeds the stability budget {cfl_limit:.4e}"
+    return None
+
+
 @dataclass(frozen=True)
 class EvolveResult:
     state: np.ndarray
@@ -238,12 +245,8 @@ def evolve(
     if tau <= 0 or t_final < 0:
         raise ValueError("step size must be positive and horizon nonnegative")
     if cfl_limit is not None:
-        nrm = operator_norm(op) if op_norm is None else op_norm
-        if tau * nrm > cfl_limit * (1 + 1e-12):
-            msg = (
-                f"tau * |L| = {tau * nrm:.4e} exceeds the stability budget "
-                f"{cfl_limit:.4e}"
-            )
+        msg = cfl_violation(tau, operator_norm(op) if op_norm is None else op_norm, cfl_limit)
+        if msg is not None:
             if strict_cfl:
                 raise NumericalError(msg)
             warnings.warn(msg, StabilityWarning, stacklevel=2)
@@ -280,15 +283,18 @@ def evolve(
 def amplification_norm(op, scheme: RKScheme, tau: float, *, seed: int = 7) -> float:
     """Spectral norm of R(tau L).
 
-    Exact for spectral symbol operators (the largest norm over the
-    per-mode matrices) and for dense matrices up to n = 2000; power
-    iteration on R^T R beyond that.
+    Exact when op has symbols (a SymbolOperator, or a LinearOperator on
+    a uniform periodic mesh): R is applied to every per-mode matrix by
+    one batched Horner sweep and the largest per-mode norm is returned.
+    Exact too for other matrices up to DENSE_LIMIT unknowns, densely;
+    power iteration on R^T R beyond that, which raises NumericalError
+    when successive estimates never agree to 1e-10.
     """
     symbols = getattr(op, "symbols", None)
     mat = op.mat if isinstance(op, LinearOperator) else op
-    if symbols is not None or mat.shape[0] <= 2000:
+    if symbols is not None or mat.shape[0] <= DENSE_LIMIT:
         if symbols is not None:
-            stack = np.reshape(symbols, (-1,) + symbols.shape[-2:])
+            stack = _mode_stack(symbols)
         else:
             stack = (mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat))[None]
         eye = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape)
@@ -320,7 +326,7 @@ def expm_reference(op, t: float) -> np.ndarray:
     expm(tL/2)^2 must reproduce expm(tL) to a relative 1e-9."""
     mat = op.mat if isinstance(op, LinearOperator) else op
     dense = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
-    if dense.shape[0] > 2000:
+    if dense.shape[0] > DENSE_LIMIT:
         raise ValueError("reference exponential is dense-only; operator too large")
     full = scipy.linalg.expm(t * dense)
     half = scipy.linalg.expm(0.5 * t * dense)

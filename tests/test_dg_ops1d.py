@@ -26,7 +26,7 @@ from rkdg_lab import (
     quadratic_form,
     semiboundedness_mu,
 )
-from conftest import random_dg
+from conftest import ONE_D_VARIANTS, VARIANTS, build_variant, dense_norm, random_dg
 
 
 def eval_cell(u, j, xi, deriv=0):
@@ -313,3 +313,49 @@ def test_semiboundedness_is_attained_rayleigh_maximum():
     w, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
     top = vecs[:, -1]
     assert abs(float(top @ (dense @ top)) - mu) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Per-mode measurements on uniform meshes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+@pytest.mark.parametrize("name", VARIANTS)
+def test_per_mode_norm_and_mu_match_the_dense_oracle(name, n):
+    """On a uniform mesh every operator is block circulant, so |L| and mu
+    are exact maxima over the per-mode matrices."""
+    op = build_variant(name, n)
+    assert op.symbols is not None
+    assert op.symbols.shape[0] == op.n // op.symbols.shape[-1]
+    a = op.dense()
+    nrm = dense_norm(a)
+    assert abs(operator_norm(op) - nrm) <= 1e-13 * nrm
+    mu = np.linalg.eigvalsh(0.5 * (a + a.T))[-1]
+    assert abs(semiboundedness_mu(op) - mu) <= 1e-13 * nrm
+
+
+@pytest.mark.parametrize("name", ONE_D_VARIANTS)
+def test_symbols_are_refused_off_a_uniform_mesh(name):
+    """A perturbed mesh, or a uniform one with a single boundary moved by
+    1e-6 h, breaks shift invariance: no symbols, so the dense path runs."""
+    perturbed = build_variant(name, 12, Mesh1D.perturbed(12, rel=0.2, seed=4))
+    assert perturbed.symbols is None
+    boundaries = Mesh1D.uniform(12).boundaries.copy()
+    boundaries[5] += 1e-6 * (boundaries[1] - boundaries[0])
+    nudged = build_variant(name, 12, Mesh1D(boundaries))
+    assert nudged.symbols is None
+    a = nudged.dense()
+    assert abs(operator_norm(nudged) - np.linalg.norm(a, 2)) == 0.0
+
+
+def test_layout_survives_operator_algebra():
+    d = assemble_d_theta(Mesh1D.uniform(6), 2, 1.0)
+    assert d.layout == ((1, 6, 3), (1,))
+    for derived in (d.transpose(), d.scaled(-2.0), d @ d.transpose()):
+        assert derived.layout == d.layout
+        assert derived.symbols is not None
+    assert LinearOperator(d.mat).symbols is None
+    # Circulant over cells, not over single unknowns: a layout claiming
+    # one unknown per cell is refused.
+    assert LinearOperator(d.mat, layout=((1, 18), (1,))).symbols is None

@@ -15,6 +15,7 @@ from rkdg_lab import (
     ConfigError,
     DEFAULT_SEED,
     NumericalError,
+    StabilityWarning,
     build_operator,
     check_operators,
     check_projections,
@@ -484,3 +485,84 @@ def test_projection_battery_is_green():
     text = format_checks(results)
     assert "FAIL" not in text
     assert "derivative_inverse_bounded" in text
+
+
+# ---------------------------------------------------------------------------
+# Measurement methods, large scans and budget flags
+# ---------------------------------------------------------------------------
+
+
+def centered_scan(n, **grid):
+    return {
+        "schema": "rkdg-lab-config/1",
+        "study": "stability",
+        "scheme": {"family": "ldg", "degree": 1, "q": 1, "beta": -1.0, "theta0": 0.5},
+        "grid": {"n": n, **grid},
+        "time": {"integrator": "taylor3"},
+        "scan": {"expect": "nonempty"},
+    }
+
+
+def stable_lambdas(result):
+    return [row["lambda"] for row in result.rows if row["stable"]]
+
+
+def test_centered_scan_above_the_dense_limit_runs():
+    """2,048 unknowns: the per-mode path settles every probe, and the
+    stable set is the one at n = 32, lambda <= 1.6 < sqrt(3)."""
+    large = run_study(centered_scan(1024))
+    small = run_study(centered_scan(32))
+    expected = [round(0.2 * i, 10) for i in range(1, 9)]
+    assert stable_lambdas(large) == stable_lambdas(small) == expected
+    assert large.passed is True
+    assert large.meta["spectrum"] == small.meta["spectrum"] == "modes"
+
+
+@pytest.mark.parametrize("theta0", [0.5, 1.0])
+def test_validate_refuses_large_stability_scans_on_perturbed_meshes(theta0):
+    doc = centered_scan(1024, mesh="perturbed", perturbation=0.2)
+    doc["scheme"]["theta0"] = theta0
+    with pytest.raises(ConfigError, match="grid.n") as err:
+        validate_config(doc)
+    assert "2048 unknowns exceed the 2000 limit" in str(err.value)
+    validate_config(centered_scan(1000, mesh="perturbed"))  # 2,000 unknowns: dense
+    validate_config(centered_scan(1024))
+
+
+def test_reports_name_the_spectrum_method(tiny_advection_config):
+    uniform = run_study(tiny_advection_config())
+    assert [lv.extra["spectrum"] for lv in uniform.levels] == ["modes"] * 3
+    perturbed = run_study(tiny_advection_config(grid={"levels": [8, 12, 16], "mesh": "perturbed"}))
+    assert [lv.extra["spectrum"] for lv in perturbed.levels] == ["dense"] * 3
+    assert study_to_dict(perturbed)["levels"][0]["extra"] == {"spectrum": "dense"}
+    scan = run_study(centered_scan(16, mesh="perturbed"))
+    assert scan.meta["spectrum"] == "dense"
+
+
+def test_cfl_budget_excess_is_a_report_flag(tiny_advection_config):
+    """ssp3's budget is sqrt(3); with tau = 0.15 only the n = 16 level,
+    |L| = 15.28, steps past it. evolve still warns."""
+    doc = tiny_advection_config(time={"integrator": "ssp3", "t_final": 0.3, "tau": 0.15})
+    with pytest.warns(StabilityWarning):
+        result = run_study(doc)
+    assert len(result.flags) == 1
+    (flag,) = result.flags
+    assert flag == "level n=16: tau * |L| = 2.2918e+00 exceeds the stability budget 1.7321e+00"
+    assert run_study(tiny_advection_config()).flags == ()
+
+    temporal = {
+        "schema": "rkdg-lab-config/1",
+        "study": "temporal",
+        "solution": "advection_sin",
+        "scheme": {"family": "ldg", "degree": 1},
+        "grid": {"n": 16},
+        "time": {
+            "integrator": "taylor2", "t_final": 0.4, "tau0": 0.2,
+            "halvings": 2, "mode": "semidiscrete",
+        },
+    }
+    with pytest.warns(StabilityWarning):
+        result = run_study(temporal)
+    assert [f for f in result.flags if "stability budget" in f] == [
+        "level tau=2.000e-01: tau * |L| = 3.0558e+00 exceeds the stability budget 2.0000e+00"
+    ]

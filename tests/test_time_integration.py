@@ -33,6 +33,7 @@ from rkdg_lab import (
     two_step_rk4,
     validate_config,
 )
+from conftest import VARIANTS, build_variant, dense_norm
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +344,57 @@ def test_sigma_factor_limits():
 def test_scheme_rejects_malformed_coefficients():
     with pytest.raises(ValueError):
         RKScheme((), name="empty")
+
+
+# ---------------------------------------------------------------------------
+# Per-mode amplification on uniform meshes
+# ---------------------------------------------------------------------------
+
+
+def dense_amplification(a, scheme, tau):
+    """R(tau A) for a dense A, by Horner's rule on matrices."""
+    r = scheme.alphas[-1] * np.eye(a.shape[0])
+    for alpha in scheme.alphas[-2::-1]:
+        r = tau * (a @ r) + alpha * np.eye(a.shape[0])
+    return r
+
+
+# 2D advection at k = 2 stops at n = 8: its dense R at n = 17 has 2,601
+# rows, and the norm test in test_dg_ops1d already covers that size.
+AMPLIFICATION_CASES = [
+    (name, n)
+    for name in VARIANTS
+    for n in (2, 3, 8, 17)
+    if (name, n) != ("advection2d_k2", 17)
+]
+
+
+@pytest.mark.parametrize("name,n", AMPLIFICATION_CASES)
+def test_per_mode_amplification_matches_dense_r(name, n):
+    op = build_variant(name, n)
+    assert op.symbols is not None
+    a = op.dense()
+    nrm = operator_norm(op)
+    for scheme_name in ("euler", "taylor3", "rk4", "two_step_rk4"):
+        scheme = resolve_scheme(scheme_name)
+        for lam in (0.7, 2.5):
+            tau = lam / nrm
+            ref = dense_norm(dense_amplification(a, scheme, tau))
+            got = amplification_norm(op, scheme, tau)
+            assert abs(got - ref) <= 1e-13 * ref, (scheme_name, lam)
+
+
+@pytest.mark.parametrize("n", [32, 1024])
+@pytest.mark.parametrize(
+    "scheme_name,edge", [("taylor3", math.sqrt(3.0)), ("rk4", 2.0 * math.sqrt(2.0))]
+)
+def test_centered_amplification_edge_is_the_imaginary_axis_extent(scheme_name, edge, n):
+    """The centered operator is skew with |L| among its eigenvalue
+    moduli, so |R(tau L)| <= 1 exactly while tau |L| stays inside the
+    imaginary-axis extent of the scheme: sqrt(3) for taylor3, 2 sqrt(2)
+    for rk4. At n = 1024 (2,048 unknowns) the per-mode path decides it."""
+    op = assemble_high_order_lh(Mesh1D.uniform(n), 1, 1, -1.0, theta0=0.5)
+    scheme = resolve_scheme(scheme_name)
+    nrm = operator_norm(op)
+    assert amplification_norm(op, scheme, edge * (1 - 1e-6) / nrm) <= 1 + 1e-10
+    assert amplification_norm(op, scheme, edge * (1 + 1e-6) / nrm) > 1 + 1e-10
