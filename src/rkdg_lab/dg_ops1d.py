@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
 
 from .core_fem import (
     DGFunction,
@@ -330,22 +331,22 @@ def assemble_ultraweak_third(mesh: Mesh1D, degree: int) -> LinearOperator:
     )
 
 
-#: Unknowns up to which operators without symbols are measured densely:
-#: operator_norm, amplification_norm and expm_reference up to DENSE_LIMIT,
-#: semiboundedness_mu up to MU_DENSE_LIMIT; power iterations beyond.
-DENSE_LIMIT = 2000
-MU_DENSE_LIMIT = 1500
+def spectrum_method(op) -> str:
+    """How |L| and mu of op are measured: "modes" (exact, per mode) when
+    it has symbols, "krylov" (one ARPACK call each) otherwise."""
+    return "modes" if getattr(op, "symbols", None) is not None else "krylov"
 
 
-def spectrum_method(op, dense_limit: int = MU_DENSE_LIMIT) -> str:
-    """How op is measured: "modes" when it has per-mode symbols, else
-    "dense" up to dense_limit unknowns and "power" beyond. The default
-    limit is the lower of the two, so "dense" then means that neither
-    |L| nor mu came from a power iteration."""
-    if getattr(op, "symbols", None) is not None:
-        return "modes"
-    mat = op.mat if isinstance(op, LinearOperator) else op
-    return "dense" if mat.shape[0] <= dense_limit else "power"
+def _arpack(what: str, solve, n: int) -> float:
+    """The one value solve(v0) returns, from ARPACK.
+
+    Every call starts from the same seeded v0, so a measurement repeats
+    bit for bit. ARPACK stops on the Ritz residual |r| <= eps |theta|; a
+    result it does not report converged is refused."""
+    try:
+        return float(solve(np.random.default_rng(7).standard_normal(n))[0])
+    except ArpackNoConvergence as err:
+        raise NumericalError(f"ARPACK did not converge on {what} ({n} unknowns): {err}") from None
 
 
 def semiboundedness_mu(op) -> float:
@@ -354,78 +355,44 @@ def semiboundedness_mu(op) -> float:
     <L v, v> <= mu |v|^2 for all v, with equality attained. An operator
     with symbols (a SymbolOperator, or a LinearOperator on a uniform
     periodic mesh) gives the exact maximum over its per-mode Hermitian
-    parts. Otherwise: dense eigensolve up to MU_DENSE_LIMIT unknowns, a
-    shifted power iteration beyond that."""
+    parts. Otherwise ARPACK finds the top eigenvalue c + mu of the
+    symmetric part shifted by its largest absolute row sum c >= rho.
+    Without the shift a dissipative operator's top eigenvalue sits in a
+    degenerate cluster at zero, where ARPACK's relative stopping test
+    cannot settle."""
     symbols = getattr(op, "symbols", None)
     if symbols is not None:
         stack = _mode_stack(symbols)
         herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
         return float(np.max(np.linalg.eigvalsh(herm)))
-    if op.n <= MU_DENSE_LIMIT:
-        sym = 0.5 * (op.dense() + op.dense().T)
-        return float(np.linalg.eigvalsh(sym)[-1])
-    # Shifted power iteration: sym + c I is positive semidefinite for
-    # c = max absolute row sum >= rho(sym), and its dominant eigenvalue
-    # is c + mu. Deterministic start vector, Rayleigh quotient readout.
     sym = (0.5 * (op.mat + op.mat.T)).tocsr()
     shift = float(np.max(np.abs(sym).sum(axis=1))) or 1.0
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(op.n)
-    v /= np.linalg.norm(v)
-    previous = np.inf
-    for _ in range(10000):
-        w = sym @ v + shift * v
-        scale = np.linalg.norm(w)
-        if scale == 0.0:
-            return -shift
-        v = w / scale
-        rayleigh = float(v @ (sym @ v))
-        if abs(rayleigh - previous) <= 1e-12 * max(1.0, shift):
-            return rayleigh
-        previous = rayleigh
-    raise NumericalError("power iteration for the symmetric part did not settle")
+    shifted = sym + shift * sp.identity(sym.shape[0], format="csr")
+    top = _arpack(
+        "the shifted symmetric part",
+        lambda v0: eigsh(shifted, k=1, which="LA", v0=v0, return_eigenvectors=False),
+        sym.shape[0],
+    )
+    return top - shift
 
 
-def operator_norm(
-    op,
-    rtol: float = 1e-8,
-    max_iter: int = 5000,
-    seed: int = 7,
-) -> float:
+def operator_norm(op) -> float:
     """Spectral norm.
 
     An operator with symbols (a SymbolOperator, or a LinearOperator on a
     uniform periodic mesh) gives the exact maximum over its per-mode
-    singular values. Otherwise: dense SVD up to DENSE_LIMIT unknowns,
-    power iteration on A^T A beyond that, which stops once successive
-    estimates agree to rtol and raises NumericalError if they never do.
+    singular values. Otherwise it is ARPACK's largest singular value.
     """
     symbols = getattr(op, "symbols", None)
     if symbols is not None:
         return float(_mode_norms(symbols).max())
     mat = op.mat if isinstance(op, LinearOperator) else sp.csr_matrix(op)
-    n = mat.shape[0]
-    if n <= DENSE_LIMIT:
-        return float(np.linalg.norm(mat.toarray(), 2))
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    mat_t = mat.T.tocsr()
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        z = mat_t @ w
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
-            return 0.0
-        new_sigma = float(np.sqrt(zn))
-        v = z / zn
-        if abs(new_sigma - sigma) <= rtol * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    raise NumericalError(
-        f"power iteration did not settle within {max_iter} iterations "
-        f"(last estimate {sigma:.6e})"
+    if mat.count_nonzero() == 0:
+        return 0.0  # ARPACK refuses a start vector the operator maps to zero
+    return _arpack(
+        "the largest singular value",
+        lambda v0: svds(mat, k=1, solver="arpack", return_singular_vectors=False, v0=v0),
+        mat.shape[0],
     )
 
 

@@ -40,7 +40,6 @@ from .core_fem import (
     project_l2,
 )
 from .dg_ops1d import (
-    DENSE_LIMIT,
     assemble_d_theta,
     assemble_high_order_lh,
     assemble_ultraweak_third,
@@ -84,6 +83,7 @@ from .systems import (
     stack_fields,
 )
 from .time_integration import (
+    DENSE_LIMIT,
     RKScheme,
     _horner,
     amplification_norm,
@@ -570,6 +570,12 @@ def stability_budget(scheme: RKScheme) -> float:
     return min(positive)
 
 
+def _require_nonzero(where: str, op_norm: float) -> None:
+    """Step sizes scale with 1 / |L|; a zero operator gives none."""
+    if op_norm == 0.0:
+        raise NumericalError(f"{where}: the operator is zero, so |L| sets no step size")
+
+
 def _tau_exponent(config: Mapping, scheme: RKScheme) -> int:
     tcfg, family = config["time"], config["scheme"]["family"]
     if "tau_exponent" in tcfg:
@@ -594,6 +600,8 @@ def _spatial_taus(
         expo = None
     else:
         expo = _tau_exponent(config, scheme)
+        for p, nrm in zip(problems, norms):
+            _require_nonzero(f"level {p.label}", nrm)
         cap = tcfg["cfl_fraction"] * budget
         c = min(cap / (p.scale**expo * nrm) for p, nrm in zip(problems, norms))
         taus = [c * p.scale**expo for p in problems]
@@ -857,6 +865,7 @@ def run_stability(config: Mapping, *, jobs: int = 1) -> StudyResult:
         config["scheme"], config["grid"], config["grid"]["n"], config["seed"]
     )
     nrm = operator_norm(op)
+    _require_nonzero("stability scan", nrm)
 
     def probe(lam: float) -> Mapping:
         tau = lam / nrm
@@ -882,7 +891,7 @@ def run_stability(config: Mapping, *, jobs: int = 1) -> StudyResult:
         "integrator": scheme.name,
         "stable_count": len(stable),
         "max_stable_lambda": max(stable) if stable else None,
-        "spectrum": spectrum_method(op, DENSE_LIMIT),
+        "spectrum": spectrum_method(op),
     }
     return StudyResult(
         study="stability", name=config["name"], config=config, levels=(),
@@ -1044,7 +1053,9 @@ _SCHEME = {
         "theta0": (_number(), 1.0),
         "thetas": (_list(_number()), []),  # empty: copies of theta0
     },
-    "ultraweak3": {"family": _FAMILY, "degree": _DEGREE},
+    # Degree 0 assembles the zero operator: every term differentiates the test
+    # or trial function at least once.
+    "ultraweak3": {"family": _FAMILY, "degree": (_integer(1, 8), _REQUIRED)},
     "wave": {
         "family": _FAMILY, "degree": _DEGREE,
         "alpha": (_number(-2.0, 2.0), 0.5),
@@ -1206,7 +1217,7 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
 
     # One cap for the dense-only measurements: a temporal study's reference
     # exponential, and |R(tau L)| on a perturbed mesh, which has no symbols
-    # and whose power iteration stalls past the limit.
+    # and whose singular values cluster at 1, out of a Krylov method's reach.
     if study == "temporal" and family == "spectral":
         _fail("scheme.family", "temporal studies need a matrix operator; spectral is spatial-only")
     if study == "temporal" or (study == "stability" and grid["mesh"] == "perturbed"):

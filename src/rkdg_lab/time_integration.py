@@ -34,7 +34,12 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .core_fem import NumericalError
-from .dg_ops1d import DENSE_LIMIT, LinearOperator, _mode_stack, operator_norm
+from .dg_ops1d import LinearOperator, _mode_stack, operator_norm
+
+#: Unknowns up to which an operator without symbols gets a dense |R(tau L)|
+#: or exp(tL). Krylov cannot replace the former: the singular values of
+#: R(tau L) cluster at 1.
+DENSE_LIMIT = 2000
 
 
 def _horner(alphas: Sequence[float], u, apply: Callable):
@@ -280,54 +285,37 @@ def evolve(
     )
 
 
-def amplification_norm(op, scheme: RKScheme, tau: float, *, seed: int = 7) -> float:
+def _dense(op, what: str) -> np.ndarray:
+    """op as a dense array, refused above DENSE_LIMIT unknowns."""
+    mat = op.mat if isinstance(op, LinearOperator) else op
+    if mat.shape[0] > DENSE_LIMIT:
+        raise ValueError(f"{what} is dense-only; {mat.shape[0]} unknowns exceed {DENSE_LIMIT}")
+    return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+
+
+def amplification_norm(op, scheme: RKScheme, tau: float) -> float:
     """Spectral norm of R(tau L).
 
     Exact when op has symbols (a SymbolOperator, or a LinearOperator on
     a uniform periodic mesh): R is applied to every per-mode matrix by
     one batched Horner sweep and the largest per-mode norm is returned.
-    Exact too for other matrices up to DENSE_LIMIT unknowns, densely;
-    power iteration on R^T R beyond that, which raises NumericalError
-    when successive estimates never agree to 1e-10.
+    Other operators are evaluated densely, up to DENSE_LIMIT unknowns.
     """
     symbols = getattr(op, "symbols", None)
-    mat = op.mat if isinstance(op, LinearOperator) else op
-    if symbols is not None or mat.shape[0] <= DENSE_LIMIT:
-        if symbols is not None:
-            stack = _mode_stack(symbols)
-        else:
-            stack = (mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat))[None]
-        eye = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape)
-        r = _horner(scheme.alphas, eye, lambda v: tau * (stack @ v))
-        return float(np.linalg.norm(r, 2, axis=(-2, -1)).max())
-
-    mat_t = mat.T.tocsr() if hasattr(mat, "tocsr") else np.asarray(mat).T
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    step = _scaled_apply(op, tau, v)
-    step_t = _scaled_apply(mat_t, tau, v)
-    sigma = 0.0
-    for _ in range(5000):
-        z = _horner(scheme.alphas, _horner(scheme.alphas, v, step), step_t)
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
-            return 0.0
-        new_sigma = float(np.sqrt(zn))
-        v = z / zn
-        if abs(new_sigma - sigma) <= 1e-10 * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    raise NumericalError("power iteration on the amplification matrix stalled")
+    if symbols is not None:
+        stack = _mode_stack(symbols)
+    else:
+        stack = _dense(op, "the amplification norm")[None]
+    eye = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape)
+    r = _horner(scheme.alphas, eye, lambda v: tau * (stack @ v))
+    return float(np.linalg.norm(r, 2, axis=(-2, -1)).max())
 
 
 def expm_reference(op, t: float) -> np.ndarray:
     """Dense matrix exponential of t L with a semigroup self-check:
-    expm(tL/2)^2 must reproduce expm(tL) to a relative 1e-9."""
-    mat = op.mat if isinstance(op, LinearOperator) else op
-    dense = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
-    if dense.shape[0] > DENSE_LIMIT:
-        raise ValueError("reference exponential is dense-only; operator too large")
+    expm(tL/2)^2 must reproduce expm(tL) to a relative 1e-9. Refused
+    above DENSE_LIMIT unknowns."""
+    dense = _dense(op, "the reference exponential")
     full = scipy.linalg.expm(t * dense)
     half = scipy.linalg.expm(0.5 * t * dense)
     defect = np.linalg.norm(half @ half - full) / max(np.linalg.norm(full), 1e-300)

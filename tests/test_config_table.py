@@ -1,15 +1,25 @@
 """The declarative config tables: the validator is total over mutated
-shipped configs, and the README documents every key the tables accept."""
+shipped configs, the runners are total over small valid ones, and the
+README documents every key the tables accept."""
 
 import copy
 import json
 import math
 import pathlib
+import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkdg_lab import ConfigError, harness, validate_config
+from rkdg_lab import (
+    ConfigError,
+    NumericalError,
+    RateAssertionError,
+    harness,
+    run_study,
+    validate_config,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SHIPPED = [json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))]
@@ -89,6 +99,50 @@ def test_validator_is_total(doc):
         return
     text = json.dumps(out, allow_nan=False)
     assert json.dumps(validate_config(json.loads(text))) == text
+
+
+FAMILIES = sorted({doc["scheme"]["family"] for doc in SHIPPED})
+
+
+@st.composite
+def small_configs(draw, family):
+    """A shipped config of the family shrunk to a small study: degree 0
+    to 2, 2 to 8 cells (modes for spectral), a uniform or perturbed mesh
+    where the family allows one, and t_final at most 0.2."""
+    doc = copy.deepcopy(draw(st.sampled_from(
+        [doc for doc in SHIPPED if doc["scheme"]["family"] == family]
+    )))
+    scheme, grid, study = doc["scheme"], doc["grid"], doc["study"]
+    if scheme["family"] != "spectral":
+        scheme["degree"] = draw(st.integers(0, 2))
+    grid.pop("perturbation", None)
+    grid["mesh"] = "uniform"
+    if scheme["family"] not in ("advection2d", "spectral") and draw(st.booleans()):
+        grid["mesh"] = "perturbed"
+        grid["perturbation"] = draw(st.sampled_from([0.1, 0.3, 0.45]))
+    if study == "spatial":
+        levels = draw(st.lists(st.integers(2, 8), min_size=2, max_size=3, unique=True))
+        grid["levels"] = sorted(levels)
+    else:
+        grid["n"] = draw(st.integers(2, 8))
+    if study != "stability":
+        doc["time"]["t_final"] = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    return doc
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(derandomize=True, deadline=None, max_examples=8, database=None)
+@given(data=st.data())
+def test_runners_are_total(family, data):
+    """run_study returns, or refuses with one of the errors the CLI maps
+    to an exit code."""
+    doc = data.draw(small_configs(family))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_study(doc)
+    except (ConfigError, NumericalError, RateAssertionError):
+        pass
 
 
 def test_readme_documents_every_table_key():

@@ -6,6 +6,8 @@ the closed forms P_m(1) = 1, P_m(-1) = (-1)^m, P_m'(+-1) = (+-1)^(m+1)
 m (m + 1) / 2.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,6 +28,7 @@ from rkdg_lab import (
     quadratic_form,
     semiboundedness_mu,
 )
+from rkdg_lab.dg_ops1d import spectrum_method
 from conftest import ONE_D_VARIANTS, VARIANTS, build_variant, dense_norm, random_dg
 
 
@@ -335,18 +338,27 @@ def test_per_mode_norm_and_mu_match_the_dense_oracle(name, n):
     assert abs(semiboundedness_mu(op) - mu) <= 1e-13 * nrm
 
 
+def assert_matches_dense_oracle(op):
+    """|L| to 1e-13 relative and mu to 1e-13 |L| against dense solves."""
+    a = op.dense()
+    nrm = dense_norm(a)
+    assert abs(operator_norm(op) - nrm) <= 1e-13 * nrm
+    mu = np.linalg.eigvalsh(0.5 * (a + a.T))[-1]
+    assert abs(semiboundedness_mu(op) - mu) <= 1e-13 * nrm
+
+
 @pytest.mark.parametrize("name", ONE_D_VARIANTS)
 def test_symbols_are_refused_off_a_uniform_mesh(name):
     """A perturbed mesh, or a uniform one with a single boundary moved by
-    1e-6 h, breaks shift invariance: no symbols, so the dense path runs."""
+    1e-6 h, breaks shift invariance: no symbols, so the Krylov path runs."""
     perturbed = build_variant(name, 12, Mesh1D.perturbed(12, rel=0.2, seed=4))
     assert perturbed.symbols is None
     boundaries = Mesh1D.uniform(12).boundaries.copy()
     boundaries[5] += 1e-6 * (boundaries[1] - boundaries[0])
     nudged = build_variant(name, 12, Mesh1D(boundaries))
     assert nudged.symbols is None
-    a = nudged.dense()
-    assert abs(operator_norm(nudged) - np.linalg.norm(a, 2)) == 0.0
+    assert_matches_dense_oracle(perturbed)
+    assert_matches_dense_oracle(nudged)
 
 
 def test_layout_survives_operator_algebra():
@@ -359,3 +371,46 @@ def test_layout_survives_operator_algebra():
     # Circulant over cells, not over single unknowns: a layout claiming
     # one unknown per cell is refused.
     assert LinearOperator(d.mat, layout=((1, 18), (1,))).symbols is None
+
+
+# ---------------------------------------------------------------------------
+# Krylov measurements for operators without symbols
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+@pytest.mark.parametrize("name", ONE_D_VARIANTS)
+def test_krylov_norm_and_mu_match_the_dense_oracle(name, n):
+    """On a perturbed mesh there are no symbols; one ARPACK call each
+    gives |L| and mu, down to the smallest meshes."""
+    op = build_variant(name, n, Mesh1D.perturbed(n, rel=0.2, seed=n))
+    assert op.symbols is None
+    assert spectrum_method(op) == "krylov"
+    assert_matches_dense_oracle(op)
+
+
+@pytest.mark.parametrize("n", [2100, 3000])
+def test_krylov_norm_of_a_spread_diagonal(n):
+    """Singular values spread evenly up to 3, with no gap below the top
+    one: the slowest case for an iteration, still exact to 1e-12."""
+    op = LinearOperator(sp.diags(np.linspace(0.0, 3.0, n)).tocsr())
+    assert abs(operator_norm(op) - 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1600, 1999, 2500])
+def test_krylov_mu_of_a_spread_diagonal(n):
+    op = LinearOperator(sp.diags(np.linspace(-2.0, 1.5, n)).tocsr())
+    assert abs(semiboundedness_mu(op) - 1.5) <= 1e-12
+
+
+def test_krylov_measurements_repeat_bit_for_bit():
+    """A fixed start vector: the same numbers on every call, and inside a
+    thread pool, on the perturbed 1,536-dof upwind operator."""
+    op = assemble_high_order_lh(Mesh1D.perturbed(512, rel=0.3, seed=3), 2, 1, -1.0, theta0=1.0)
+    assert op.n == 1536 and op.symbols is None
+    serial = (operator_norm(op), semiboundedness_mu(op))
+    assert (operator_norm(op), semiboundedness_mu(op)) == serial
+    with ThreadPoolExecutor(2) as pool:
+        norms = list(pool.map(operator_norm, [op, op]))
+        mus = list(pool.map(semiboundedness_mu, [op, op]))
+    assert norms == [serial[0]] * 2 and mus == [serial[1]] * 2

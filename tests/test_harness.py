@@ -533,10 +533,32 @@ def test_reports_name_the_spectrum_method(tiny_advection_config):
     uniform = run_study(tiny_advection_config())
     assert [lv.extra["spectrum"] for lv in uniform.levels] == ["modes"] * 3
     perturbed = run_study(tiny_advection_config(grid={"levels": [8, 12, 16], "mesh": "perturbed"}))
-    assert [lv.extra["spectrum"] for lv in perturbed.levels] == ["dense"] * 3
-    assert study_to_dict(perturbed)["levels"][0]["extra"] == {"spectrum": "dense"}
+    assert [lv.extra["spectrum"] for lv in perturbed.levels] == ["krylov"] * 3
+    assert study_to_dict(perturbed)["levels"][0]["extra"] == {"spectrum": "krylov"}
     scan = run_study(centered_scan(16, mesh="perturbed"))
-    assert scan.meta["spectrum"] == "dense"
+    assert scan.meta["spectrum"] == "krylov"
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "perturbed"])
+def test_zero_operators_are_refused(tiny_advection_config, mesh):
+    """Step sizes scale with 1 / |L|. Centered piecewise constants on two
+    cells assemble the zero operator: a NumericalError, not a division by
+    zero. The ultraweak family is zero at degree 0 on every mesh, so
+    validation refuses it."""
+    scan = centered_scan(2, mesh=mesh)
+    scan["scheme"]["degree"] = 0
+    with pytest.raises(NumericalError, match="stability scan: the operator is zero"):
+        run_study(scan)
+    doc = tiny_advection_config(
+        scheme={"family": "ldg", "degree": 0, "theta0": 0.5}, grid={"levels": [2, 3], "mesh": mesh}
+    )
+    with pytest.raises(NumericalError, match="level n=2: the operator is zero"):
+        run_study(doc)
+    doc = tiny_advection_config(
+        solution="ultraweak_sin", scheme={"family": "ultraweak3", "degree": 0}
+    )
+    with pytest.raises(ConfigError, match="scheme.degree"):
+        validate_config(doc)
 
 
 def test_cfl_budget_excess_is_a_report_flag(tiny_advection_config):

@@ -295,6 +295,17 @@ def test_expm_reference_rejects_large_operators():
         expm_reference(LinearOperator(big), 1.0)
 
 
+def test_amplification_norm_rejects_large_operators_without_symbols():
+    """|R(tau L)| is dense-only without symbols, refused like expm_reference."""
+    big = LinearOperator(sp.identity(2500, format="csr"))
+    assert big.symbols is None
+    refusal = "dense-only; 2500 unknowns exceed 2000"
+    with pytest.raises(ValueError, match=refusal):
+        amplification_norm(big, resolve_scheme("rk4"), 0.1)
+    with pytest.raises(ValueError, match=refusal):
+        expm_reference(big, 1.0)
+
+
 def test_amplification_norm_on_skew_operator():
     """For a skew matrix the eigenvalues sit on the imaginary axis, so the
     norm of R(tau L) is max_s |R(i tau s)| over the spectrum."""
