@@ -800,7 +800,7 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
         taus.append(t_final / n_steps)
 
     state0 = problem.prepare(0.0)
-    reference = expm_reference(problem.op, t_final) @ state0
+    reference, reference_gap = expm_reference(problem.op, t_final, state0)
     floor = problem.error(reference, t_final)[0] if mode == "pde" else 0.0
 
     def run_one(tau: float) -> LevelResult:
@@ -849,6 +849,7 @@ def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) ->
         "operator_norm": float(nrm),
         "integrator": scheme.name,
         "manufactured_residual": defect,
+        "reference_gap": reference_gap,
     }
     return StudyResult(
         study="temporal", name=config["name"], config=config,
@@ -1216,8 +1217,9 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
         del grid["perturbation"]
 
     # One cap for the dense-only measurements: a temporal study's reference
-    # exponential, and |R(tau L)| on a perturbed mesh, which has no symbols
-    # and whose singular values cluster at 1, out of a Krylov method's reach.
+    # exp(tL) u(0), which comes from a dense matrix exponential, and
+    # |R(tau L)| on a perturbed mesh, which has no symbols and whose singular
+    # values cluster at 1, out of a Krylov method's reach.
     if study == "temporal" and family == "spectral":
         _fail("scheme.family", "temporal studies need a matrix operator; spectral is spatial-only")
     if study == "temporal" or (study == "stability" and grid["mesh"] == "perturbed"):

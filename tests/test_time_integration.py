@@ -1,14 +1,18 @@
 """Taylor-coefficient Runge-Kutta schemes, the marcher, and the reference
 exponentials. sympy reproduces the stability polynomials symbolically and
-mpmath supplies extended-precision values for the growth factor."""
+mpmath supplies extended-precision values for the growth factor and the
+reference exponential."""
 
 import math
+import os
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import sympy
+from scipy.sparse.linalg import expm_multiply
 
 from rkdg_lab import (
     LinearOperator,
@@ -24,6 +28,7 @@ from rkdg_lab import (
     custom_rk,
     evolve,
     expm_reference,
+    load_config,
     operator_norm,
     resolve_scheme,
     rk_step,
@@ -34,6 +39,8 @@ from rkdg_lab import (
     validate_config,
 )
 from conftest import VARIANTS, build_variant, dense_norm
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +292,14 @@ def test_expm_reference_matches_eigendecomposition():
     sym = 0.5 * (a + a.T)
     w, v = np.linalg.eigh(sym)
     ref = v @ np.diag(np.exp(0.7 * w)) @ v.T
-    got = expm_reference(sym, 0.7)
+    got, _ = expm_reference(sym, 0.7, np.eye(30))
     np.testing.assert_allclose(got, ref, atol=1e-12 * np.abs(ref).max())
 
 
 def test_expm_reference_rejects_large_operators():
     big = sp.identity(2500, format="csr")
     with pytest.raises(ValueError):
-        expm_reference(LinearOperator(big), 1.0)
+        expm_reference(LinearOperator(big), 1.0, np.ones(2500))
 
 
 def test_amplification_norm_rejects_large_operators_without_symbols():
@@ -303,7 +310,87 @@ def test_amplification_norm_rejects_large_operators_without_symbols():
     with pytest.raises(ValueError, match=refusal):
         amplification_norm(big, resolve_scheme("rk4"), 0.1)
     with pytest.raises(ValueError, match=refusal):
-        expm_reference(big, 1.0)
+        expm_reference(big, 1.0, np.ones(2500))
+
+
+@pytest.fixture(scope="module")
+def rk4_reference():
+    """semidiscrete_rk4's operator (LDG k=3, 192 dofs), its initial state
+    and its horizon."""
+    config = validate_config(load_config(os.path.join(CONFIG_DIR, "semidiscrete_rk4.json")))
+    problem = build_problem(config, solution_catalog()[config["solution"]], config["grid"]["n"])
+    return problem.op, problem.prepare(0.0), config["time"]["t_final"]
+
+
+def test_expm_reference_is_the_dense_exponential(rk4_reference):
+    op, u0, t = rk4_reference
+    ref, gap = expm_reference(op, t, u0)
+    assert np.array_equal(ref, scipy.linalg.expm(t * op.mat.toarray()) @ u0)
+    assert 0.0 < gap < 1e-13
+
+
+def test_expm_reference_catches_a_wrong_exponential(rk4_reference, monkeypatch):
+    """A dense expm off by 0.1% in its argument: a semigroup self-check
+    (expm(tL/2) squared against expm(tL)) sees defect 0.0 here, since both
+    come from the same wrong routine; expm_multiply does not."""
+    op, u0, t = rk4_reference
+    dense_expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: dense_expm(1.001 * a))
+    with pytest.raises(NumericalError, match="disagrees with expm_multiply"):
+        expm_reference(op, t, u0)
+
+
+def test_expm_reference_ignores_the_global_rng(rk4_reference):
+    """expm_multiply picks its parameters from onenormest, which draws from
+    numpy's global RNG; the reference and its gap must not depend on it."""
+    op, u0, t = rk4_reference
+    state = np.random.get_state()
+    try:
+        runs = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            runs.append(expm_reference(op, t, u0))
+    finally:
+        np.random.set_state(state)
+    (ref0, gap0), (ref1, gap1) = runs
+    assert np.array_equal(ref0, ref1)
+    assert gap0 == gap1
+
+
+def exact_expm_apply(mat, n_cells, t, v):
+    """exp(tL) v to 40 digits for a block-circulant L, mode by mode. The
+    blocks B_d of the cell-0 block row give mode k the symbol
+    sum_d B_d w^(d k), w = exp(2 pi i / n_cells); v is transformed,
+    evolved by mpmath's expm of each symbol, and transformed back."""
+    m = mat.shape[0] // n_cells
+    with mpmath.workdps(40):
+        row = mat[:m].toarray()
+        blocks = {d: mpmath.matrix(row[:, d * m:(d + 1) * m].tolist())
+                  for d in range(n_cells) if row[:, d * m:(d + 1) * m].any()}
+        cells = [mpmath.matrix(v[j * m:(j + 1) * m].tolist()) for j in range(n_cells)]
+        w = [mpmath.expjpi(mpmath.mpf(2 * j) / n_cells) for j in range(n_cells)]
+        out = [mpmath.matrix(m, 1) for _ in range(n_cells)]
+        for k in range(n_cells):
+            symbol = sum((b * w[d * k % n_cells] for d, b in blocks.items()),
+                         mpmath.matrix(m, m))
+            hat = sum((c * w[-j * k % n_cells] for j, c in enumerate(cells)),
+                      mpmath.matrix(m, 1))
+            evolved = mpmath.expm(t * symbol) * hat
+            for j in range(n_cells):
+                out[j] += evolved * w[j * k % n_cells]
+        return np.array([float(mpmath.re(x)) / n_cells for cell in out for x in cell])
+
+
+def test_expm_reference_and_its_check_against_mpmath(rk4_reference):
+    """Both the dense reference and the expm_multiply cross-check sit within
+    1e-13 relative of a 40-digit oracle at semidiscrete_rk4's 192 dofs."""
+    op, u0, t = rk4_reference
+    (_, n_cells, _), _ = op.layout
+    exact = exact_expm_apply(op.mat, n_cells, t, u0)
+    ref, _ = expm_reference(op, t, u0)
+    check = expm_multiply(t * op.mat, u0)
+    for got in (ref, check):
+        assert np.linalg.norm(got - exact) <= 1e-13 * np.linalg.norm(exact)
 
 
 def test_amplification_norm_on_skew_operator():
