@@ -77,11 +77,15 @@ def _raise_if_failed(result) -> None:
 
 
 def _run_and_report(args, doc, expect_study=None) -> int:
-    config = validate_config(doc, expect_study=expect_study)
+    if expect_study is not None:  # run_study validates doc; this checks its kind
+        validate_config(doc, expect_study=expect_study)
     result = run_study(
-        config, jobs=args.jobs, strict_cfl=getattr(args, "strict_cfl", False)
+        doc, jobs=args.jobs, strict_cfl=getattr(args, "strict_cfl", False)
     )
-    paths = write_report(result, args.out, _config_stem(args.config), args.format)
+    try:
+        paths = write_report(result, args.out, _config_stem(args.config), args.format)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot write reports there ({exc})") from exc
     _print_summary(result, paths)
     _raise_if_failed(result)
     return 0
@@ -143,13 +147,16 @@ def _cmd_dump_operator(args) -> int:
     op, _, _, _ = build_operator(
         config["scheme"], config["grid"], n, config["seed"], salt=salt
     )
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, _config_stem(args.config) + ".mtx")
     mat = op.mat.tocoo()
-    scipy.io.mmwrite(
-        path, mat, precision=17,
-        comment=f"{config['name']} at n={n} ({mat.shape[0]} unknowns)",
-    )
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        scipy.io.mmwrite(
+            path, mat, precision=17,
+            comment=f"{config['name']} at n={n} ({mat.shape[0]} unknowns)",
+        )
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot write the operator there ({exc})") from exc
     print(f"wrote {path} ({mat.shape[0]} unknowns, {mat.nnz} stored entries)")
     return 0
 

@@ -2,10 +2,11 @@
 
 This module owns four jobs. It fixes a small catalog of closed-form
 solutions together with the evolution operator each one satisfies; it
-assembles one discrete problem per refinement level and marches it with
-the requested integrator; it fits convergence rates and applies the
-assertions a study declares; and it bundles the operator and projection
-identity checks behind the command line verification tools.
+runs every study through one runner, run_study, which assembles the
+discrete problems, marches each level with the requested integrator,
+fits convergence rates and applies the assertions a study declares; and
+it bundles the operator and projection identity checks behind the
+command line verification tools.
 
 Studies arrive as plain dictionaries in the "rkdg-lab-config/1" layout.
 Validation is strict about unknown keys so that a typo in a config file
@@ -23,7 +24,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -576,42 +577,22 @@ def _require_nonzero(where: str, op_norm: float) -> None:
         raise NumericalError(f"{where}: the operator is zero, so |L| sets no step size")
 
 
-def _tau_exponent(config: Mapping, scheme: RKScheme) -> int:
-    tcfg, family = config["time"], config["scheme"]["family"]
-    if "tau_exponent" in tcfg:
-        return tcfg["tau_exponent"]
-    q_eff = config["scheme"].get("q", 3 if family == "ultraweak3" else 1)
-    return max(q_eff, math.ceil((config["scheme"]["degree"] + 1) / scheme.order))
-
-
-def _spatial_taus(
-    config: Mapping, problems: Sequence[Problem], norms: Sequence[float], scheme: RKScheme
-) -> tuple[list[float], float, int | None]:
-    """Step sizes tau_j = c * h_j^e with one shared constant.
-
-    The constant is fixed so the worst level exhausts exactly the
-    requested fraction of the stability budget; every other level then
-    sits strictly inside it. An explicit time.tau overrides the policy.
-    """
-    tcfg = config["time"]
-    budget = stability_budget(scheme)
-    if "tau" in tcfg:
-        taus = [tcfg["tau"]] * len(problems)
-        expo = None
-    else:
-        expo = _tau_exponent(config, scheme)
-        for p, nrm in zip(problems, norms):
-            _require_nonzero(f"level {p.label}", nrm)
-        cap = tcfg["cfl_fraction"] * budget
-        c = min(cap / (p.scale**expo * nrm) for p, nrm in zip(problems, norms))
-        taus = [c * p.scale**expo for p in problems]
-    for p, tau in zip(problems, taus):
-        if tcfg["t_final"] / tau > STEP_BUDGET:
-            raise NumericalError(
-                f"level {p.label} would need {tcfg['t_final'] / tau:.2e} steps; "
-                "shorten t_final or coarsen the study"
-            )
-    return taus, budget, expo
+def _temporal_taus(time: Mapping) -> list[float]:
+    """The halved steps tau0 / 2^i, each snapped to divide t_final. Refuses
+    plans past STEP_BUDGET, and plans with two levels on one step (any tau0
+    above 4/3 of t_final), which leave no rate to fit."""
+    t_final = time["t_final"]
+    counts = [
+        max(1, round(t_final / (time["tau0"] / 2**i))) for i in range(time["halvings"] + 1)
+    ]
+    if counts[-1] > STEP_BUDGET:
+        _fail("time.tau0", f"the plan needs {counts[-1]:.2e} steps, past the budget {STEP_BUDGET}")
+    if len(set(counts)) < len(counts):
+        _fail("time.tau0", (
+            f"the halved steps snap to {counts} steps over t_final, so two levels "
+            "share one step and leave no rate to fit; keep tau0 at most 4/3 of t_final"
+        ))
+    return [t_final / n for n in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -691,26 +672,6 @@ def _assert_rates(report: Mapping, fitted: float) -> tuple[Mapping, bool | None]
     return checks, passed
 
 
-def _resolve_solution(config: Mapping) -> tuple[ManufacturedSolution, float]:
-    """The configured solution and its consistency defect, gated."""
-    solution = solution_catalog()[config["solution"]]
-    defect = manufactured_residual(solution, seed=config["seed"])
-    if defect > _RESIDUAL_GATE:
-        raise NumericalError(
-            f"manufactured solution {solution.name} fails its own consistency "
-            f"check: |u_t - L u| reaches {defect:.3e} at random samples"
-        )
-    return solution, defect
-
-
-def _require_finite_errors(labels: Sequence[str], levels: Sequence[LevelResult]) -> None:
-    """A level whose error is inf or NaN (the march stayed finite but the
-    error overflowed) is a numerical failure, not a point to fit."""
-    for label, lv in zip(labels, levels):
-        if not math.isfinite(lv.error):
-            raise NumericalError(f"level {label} has a non-finite error ({lv.error})")
-
-
 def _gate_mu(problem: Problem, mu: float, op_norm: float) -> None:
     if mu > MU_GATE * op_norm:
         raise NumericalError(
@@ -724,143 +685,91 @@ def _gate_mu(problem: Problem, mu: float, op_norm: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_spatial(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> StudyResult:
-    config = validate_config(config, expect_study="spatial")
-    solution, defect = _resolve_solution(config)
-    scheme = resolve_scheme(config["time"]["integrator"])
-    levels = config["grid"]["levels"]
-    spectral = config["scheme"]["family"] == "spectral"
-    t_final = config["time"]["t_final"]
+class _Level(NamedTuple):
+    """problems[k] marched from state0 by tau. label names the level in
+    flags and errors, scale is what its error is fitted against, and extra
+    opens the level's report extra."""
 
-    problems = [build_problem(config, solution, n, salt=i) for i, n in enumerate(levels)]
-    norms = _parallel_map(lambda p: operator_norm(p.op), problems, jobs)
-    mus = _parallel_map(lambda p: semiboundedness_mu(p.op), problems, jobs)
-    for problem, mu, nrm in zip(problems, mus, norms):
-        _gate_mu(problem, mu, nrm)
-    taus, budget, expo = _spatial_taus(config, problems, norms, scheme)
-    # A step past the budget is flagged here and warned about by evolve.
-    flags = [f"level {p.label}: {msg}" for p, tau, nrm in zip(problems, taus, norms)
-             if (msg := cfl_violation(tau, nrm, budget))]
-
-    def run_level(i: int) -> LevelResult:
-        problem = problems[i]
-        state0 = problem.prepare(0.0)
-        marched = evolve(
-            problem.op, state0, taus[i], t_final, scheme,
-            cfl_limit=budget, op_norm=norms[i], strict_cfl=strict_cfl,
-        )
-        total, parts = problem.error(marched.state, t_final)
-        return LevelResult(
-            scale=problem.scale, n_dofs=problem.n_dofs, tau=taus[i],
-            n_steps=marched.n_steps, error=total,
-            components={k: float(v) for k, v in parts.items()},
-            mu=float(mus[i]), op_norm=float(norms[i]),
-            extra={**problem.extra, "spectrum": spectrum_method(problem.op)},
-        )
-
-    level_results = _parallel_map(run_level, list(range(len(problems))), jobs)
-    _require_finite_errors([p.label for p in problems], level_results)
-    scales = [lv.scale for lv in level_results]
-    errors = [lv.error for lv in level_results]
-    fitted, pairwise = (fit_semilog if spectral else fit_loglog)(scales, errors)
-    assertions, passed = _assert_rates(config["report"], fitted)
-    meta = {
-        "manufactured_residual": defect,
-        "cfl_budget": budget,
-        "tau_exponent": expo,
-        "integrator": scheme.name,
-    }
-    return StudyResult(
-        study="spatial", name=config["name"], config=config,
-        levels=tuple(level_results), fitted_rate=fitted, pairwise=tuple(pairwise),
-        assertions=assertions, passed=passed, flags=tuple(flags), meta=meta,
-    )
+    k: int
+    state0: Any
+    tau: float
+    label: str
+    scale: float
+    extra: Mapping
 
 
-def run_temporal(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> StudyResult:
-    config = validate_config(config, expect_study="temporal")
-    solution, defect = _resolve_solution(config)
-    scheme = resolve_scheme(config["time"]["integrator"])
-    tcfg = config["time"]
-    t_final, mode = tcfg["t_final"], tcfg["mode"]
+def _spatial_plan(config, scheme, budget, defect, problems, norms) -> tuple:
+    """One level per operator, measured against the exact solution. Steps
+    follow tau_j = c * h_j^e with one shared constant, fixed so the worst
+    level exhausts exactly the requested fraction of the stability budget;
+    an explicit time.tau overrides the policy."""
+    tcfg, family = config["time"], config["scheme"]["family"]
+    if "tau" in tcfg:
+        taus, expo = [tcfg["tau"]] * len(problems), None
+    else:
+        expo = tcfg.get("tau_exponent")
+        if expo is None:
+            q_eff = config["scheme"].get("q", 3 if family == "ultraweak3" else 1)
+            expo = max(q_eff, math.ceil((config["scheme"]["degree"] + 1) / scheme.order))
+        for p, nrm in zip(problems, norms):
+            _require_nonzero(f"level {p.label}", nrm)
+        cap = tcfg["cfl_fraction"] * budget
+        c = min(cap / (p.scale**expo * nrm) for p, nrm in zip(problems, norms))
+        taus = [c * p.scale**expo for p in problems]
+    for p, tau in zip(problems, taus):
+        if tcfg["t_final"] / tau > STEP_BUDGET:
+            raise NumericalError(
+                f"level {p.label} would need {tcfg['t_final'] / tau:.2e} steps; "
+                "shorten t_final or coarsen the study"
+            )
+    levels = [_Level(k, p.prepare(0.0), tau, p.label, p.scale, p.extra)
+              for k, (p, tau) in enumerate(zip(problems, taus))]
+    meta = {"manufactured_residual": defect, "cfl_budget": budget,
+            "tau_exponent": expo, "integrator": scheme.name}
+    return (levels, lambda problem, state: (*problem.error(state, tcfg["t_final"]), {}),
+            meta, lambda results: [])
 
-    problem = build_problem(config, solution, config["grid"]["n"])
-    nrm = operator_norm(problem.op)
-    mu = semiboundedness_mu(problem.op)
-    _gate_mu(problem, mu, nrm)
-    budget = stability_budget(scheme)
 
-    # Halved steps, each snapped so it divides the horizon exactly.
-    taus = []
-    for i in range(tcfg["halvings"] + 1):
-        raw = tcfg["tau0"] / 2**i
-        n_steps = max(1, round(t_final / raw))
-        if n_steps > STEP_BUDGET:
-            raise NumericalError("temporal study exceeds the step budget")
-        taus.append(t_final / n_steps)
-
+def _temporal_plan(config, scheme, budget, defect, problems, norms) -> tuple:
+    """One operator stepped at each halved tau, with |R(tau L)| per step.
+    Mode semidiscrete measures a march against the reference exp(tL) u_h(0);
+    mode pde against the exact solution, less the reference's own error."""
+    (problem,), (nrm,) = problems, norms
+    t_final, mode = config["time"]["t_final"], config["time"]["mode"]
     state0 = problem.prepare(0.0)
     reference, reference_gap = expm_reference(problem.op, t_final, state0)
     floor = problem.error(reference, t_final)[0] if mode == "pde" else 0.0
 
-    def run_one(tau: float) -> LevelResult:
-        marched = evolve(
-            problem.op, state0, tau, t_final, scheme,
-            cfl_limit=budget, op_norm=nrm, strict_cfl=strict_cfl,
-        )
-        extra = {"amplification": float(amplification_norm(problem.op, scheme, tau)),
-                 "spectrum": spectrum_method(problem.op)}
-        if mode == "pde":
-            raw, parts = problem.error(marched.state, t_final)
-            adjusted = max(abs(raw - floor), 1e-16)
-            extra.update({"raw_error": float(raw), "floor": float(floor)})
-            err, comps = adjusted, parts
-        else:
-            err = float(np.linalg.norm(np.asarray(marched.state) - reference))
-            comps = {"semidiscrete_gap": err}
-        return LevelResult(
-            scale=tau, n_dofs=problem.n_dofs, tau=tau, n_steps=marched.n_steps,
-            error=float(err), components={k: float(v) for k, v in comps.items()},
-            mu=float(mu), op_norm=float(nrm), extra=extra,
-        )
+    def measure(problem: Problem, state) -> tuple:
+        if mode == "semidiscrete":
+            err = float(np.linalg.norm(np.asarray(state) - reference))
+            return err, {"semidiscrete_gap": err}, {}
+        raw, parts = problem.error(state, t_final)
+        extra = {"raw_error": float(raw), "floor": float(floor)}
+        return max(abs(raw - floor), 1e-16), parts, extra
 
-    level_results = _parallel_map(run_one, taus, jobs)
-    labels = [f"tau={tau:.3e}" for tau in taus]
-    _require_finite_errors(labels, level_results)
-    flags = [f"level {label}: {msg}" for label, tau in zip(labels, taus)
-             if (msg := cfl_violation(tau, nrm, budget))]
-    if mode == "pde":
-        smallest_raw = min(lv.extra["raw_error"] for lv in level_results)
-        if floor > 0.2 * smallest_raw:
+    def notes(results: Sequence[LevelResult]) -> list[str]:
+        flags = []
+        if mode == "pde" and floor > 0.2 * min(lv.extra["raw_error"] for lv in results):
             flags.append(
                 "semidiscrete floor exceeds 20 percent of the smallest raw "
                 "error; reported errors are floor-subtracted"
             )
-    for lv in level_results:
-        if lv.extra["amplification"] > 1 + 1e-3:
-            flags.append(f"amplification {lv.extra['amplification']:.6f} at tau {lv.tau:.3e}")
+        return flags + [f"amplification {lv.extra['amplification']:.6f} at tau {lv.tau:.3e}"
+                        for lv in results if lv.extra["amplification"] > 1 + 1e-3]
 
-    fitted, pairwise = fit_loglog([lv.scale for lv in level_results],
-                                  [lv.error for lv in level_results])
-    assertions, passed = _assert_rates(config["report"], fitted)
-    meta = {
-        "mode": mode,
-        "floor": float(floor),
-        "operator_norm": float(nrm),
-        "integrator": scheme.name,
-        "manufactured_residual": defect,
-        "reference_gap": reference_gap,
-    }
-    return StudyResult(
-        study="temporal", name=config["name"], config=config,
-        levels=tuple(level_results), fitted_rate=fitted, pairwise=tuple(pairwise),
-        assertions=assertions, passed=passed, flags=tuple(flags), meta=meta,
-    )
+    levels = [_Level(0, state0, tau, f"tau={tau:.3e}", tau,
+                     {"amplification": float(amplification_norm(problem.op, scheme, tau))})
+              for tau in _temporal_taus(config["time"])]
+    meta = {"mode": mode, "floor": float(floor), "operator_norm": float(nrm),
+            "integrator": scheme.name, "manufactured_residual": defect,
+            "reference_gap": reference_gap}
+    return levels, measure, meta, notes
 
 
-def run_stability(config: Mapping, *, jobs: int = 1) -> StudyResult:
-    config = validate_config(config, expect_study="stability")
-    scheme = resolve_scheme(config["time"]["integrator"])
+def _scan_stability(config: Mapping, scheme: RKScheme, jobs: int) -> tuple:
+    """(rows, assertions, passed, meta) of a stability scan: |R(tau L)| at
+    tau = lambda / |L| for each scan.lambdas entry."""
     scan = config["scan"]
     op, _, _, _ = build_operator(
         config["scheme"], config["grid"], config["grid"]["n"], config["seed"]
@@ -894,21 +803,78 @@ def run_stability(config: Mapping, *, jobs: int = 1) -> StudyResult:
         "max_stable_lambda": max(stable) if stable else None,
         "spectrum": spectrum_method(op),
     }
-    return StudyResult(
-        study="stability", name=config["name"], config=config, levels=(),
-        fitted_rate=None, pairwise=(), assertions=assertions, passed=passed,
-        flags=(), meta=meta, rows=tuple(rows),
-    )
+    return rows, assertions, passed, meta
 
 
 def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> StudyResult:
-    """Validate and dispatch a study configuration."""
+    """Validate a study configuration once and run it.
+
+    Spatial and temporal studies go through one sequence: build the
+    operators, measure |L| and mu and gate on mu, plan the levels, march
+    each, measure its error, fit and assert. What differs between the two
+    kinds is their plan (levels, measure, meta, notes): measure(problem,
+    state) gives a marched level's (error, components, extra) and
+    notes(results) the flags read off the marched levels.
+    """
     config = validate_config(config)
-    if config["study"] == "spatial":
-        return run_spatial(config, jobs=jobs, strict_cfl=strict_cfl)
-    if config["study"] == "temporal":
-        return run_temporal(config, jobs=jobs, strict_cfl=strict_cfl)
-    return run_stability(config, jobs=jobs)
+    scheme = resolve_scheme(config["time"]["integrator"])
+    levels, fitted, pairwise, flags, rows = [], None, [], [], []
+    if config["study"] == "stability":
+        rows, assertions, passed, meta = _scan_stability(config, scheme, jobs)
+    else:
+        solution = solution_catalog()[config["solution"]]
+        defect = manufactured_residual(solution, seed=config["seed"])
+        if defect > _RESIDUAL_GATE:
+            raise NumericalError(
+                f"manufactured solution {solution.name} fails its own consistency "
+                f"check: |u_t - L u| reaches {defect:.3e} at random samples"
+            )
+        temporal = config["study"] == "temporal"
+        sizes = [config["grid"]["n"]] if temporal else config["grid"]["levels"]
+        problems = [build_problem(config, solution, n, salt=i) for i, n in enumerate(sizes)]
+        norms = _parallel_map(lambda p: operator_norm(p.op), problems, jobs)
+        mus = _parallel_map(lambda p: semiboundedness_mu(p.op), problems, jobs)
+        for problem, mu, nrm in zip(problems, mus, norms):
+            _gate_mu(problem, mu, nrm)
+        budget = stability_budget(scheme)
+        planned, measure, meta, notes = (_temporal_plan if temporal else _spatial_plan)(
+            config, scheme, budget, defect, problems, norms
+        )
+        # A step past the budget is flagged here and warned about by evolve.
+        flags = [f"level {lv.label}: {msg}" for lv in planned
+                 if (msg := cfl_violation(lv.tau, norms[lv.k], budget))]
+
+        def run_level(lv: _Level) -> LevelResult:
+            problem, t_final = problems[lv.k], config["time"]["t_final"]
+            marched = evolve(
+                problem.op, lv.state0, lv.tau, t_final, scheme,
+                cfl_limit=budget, op_norm=norms[lv.k], strict_cfl=strict_cfl,
+            )
+            error, parts, extra = measure(problem, marched.state)
+            return LevelResult(
+                scale=lv.scale, n_dofs=problem.n_dofs, tau=lv.tau,
+                n_steps=marched.n_steps, error=float(error),
+                components={k: float(v) for k, v in parts.items()},
+                mu=float(mus[lv.k]), op_norm=float(norms[lv.k]),
+                extra={**lv.extra, "spectrum": spectrum_method(problem.op), **extra},
+            )
+
+        levels = _parallel_map(run_level, planned, jobs)
+        # A march can stay finite while its error overflows: a numerical
+        # failure, not a point to fit.
+        for lv, result in zip(planned, levels):
+            if not math.isfinite(result.error):
+                raise NumericalError(f"level {lv.label} has a non-finite error ({result.error})")
+        flags += notes(levels)
+        fit = fit_semilog if config["scheme"]["family"] == "spectral" else fit_loglog
+        fitted, pairwise = fit([lv.scale for lv in levels], [lv.error for lv in levels])
+        assertions, passed = _assert_rates(config["report"], fitted)
+    return StudyResult(
+        study=config["study"], name=config["name"], config=config,
+        levels=tuple(levels), fitted_rate=fitted, pairwise=tuple(pairwise),
+        assertions=assertions, passed=passed, flags=tuple(flags), meta=meta,
+        rows=tuple(rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1235,6 +1201,8 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
     time = out["time"] = _section("time", out["time"], _TIME[study])
     if study == "spatial" and family == "spectral" and "tau" not in time:
         _fail("time.tau", "spectral studies step with a fixed tau; set one")
+    if study == "temporal":
+        _temporal_taus(time)
 
     if study == "stability":
         for key in ("init", "report"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from rkdg_lab import build_operator, validate_config
+from rkdg_lab import build_operator, cli, harness, validate_config
 from rkdg_lab.cli import main
 
 
@@ -193,3 +193,46 @@ def test_dump_operator_rejections(tmp_path, capsys, write_config, tiny_advection
 
     scan = write_config(stability_doc(), "scan.json")
     assert main(["dump-operator", "--config", scan, "--out", str(tmp_path), "--level", "2"]) == 2
+
+
+def test_unfittable_temporal_plan_exits_two(tmp_path, capsys, write_config):
+    doc = {
+        "schema": "rkdg-lab-config/1",
+        "study": "temporal",
+        "solution": "advection_sin",
+        "scheme": {"family": "ldg", "degree": 1},
+        "grid": {"n": 8},
+        "time": {"integrator": "taylor2", "t_final": 1.0, "tau0": 10.0, "halvings": 1},
+    }
+    path = write_config(doc, "unfittable.json")
+    assert main(["converge", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "time.tau0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "dump-operator", "stability-scan"])
+def test_unwritable_out_exits_two(tmp_path, capsys, write_config, tiny_advection_config, command):
+    doc = stability_doc() if command == "stability-scan" else tiny_advection_config()
+    path = write_config(doc, "study.json")
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    assert main([command, "--config", path, "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {blocker}: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["converge", "stability-scan"])
+def test_run_commands_validate_at_most_twice(tmp_path, monkeypatch, write_config,
+                                             tiny_advection_config, command):
+    real, calls = harness.validate_config, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "validate_config", counting)
+    monkeypatch.setattr(cli, "validate_config", counting)
+    doc = stability_doc() if command == "stability-scan" else tiny_advection_config()
+    path = write_config(doc, "study.json")
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+    assert len(calls) <= 2

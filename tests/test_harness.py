@@ -1,6 +1,5 @@
 """The study harness: manufactured solutions, configuration validation,
-per-level assembly, the three study drivers, reports, and the check
-batteries."""
+per-level assembly, the study runner, reports, and the check batteries."""
 
 import dataclasses
 import json
@@ -206,6 +205,53 @@ def test_validate_temporal_dense_reference_cap():
     with pytest.raises(ConfigError) as err:
         validate_config(doc)
     assert "grid.n" in str(err.value)
+
+
+def _tiny_temporal(**time):
+    return {
+        "schema": "rkdg-lab-config/1",
+        "study": "temporal",
+        "solution": "advection_sin",
+        "scheme": {"family": "ldg", "degree": 1},
+        "grid": {"n": 8},
+        "time": {"integrator": "taylor2", "mode": "pde", **time},
+    }
+
+
+@pytest.mark.parametrize(
+    "time,fragment",
+    [
+        # Every step snaps to one step over t_final: nothing to fit.
+        ({"tau0": 10.0, "t_final": 1.0, "halvings": 1}, "share one step"),
+        # The first two levels snap to one step; the third does not.
+        ({"tau0": 1.4, "t_final": 1.0, "halvings": 2}, "share one step"),
+        ({"tau0": 1e-4, "t_final": 100.0, "halvings": 12}, "past the budget"),
+    ],
+)
+def test_validate_refuses_temporal_plans_it_cannot_fit(time, fragment):
+    with pytest.raises(ConfigError) as err:
+        validate_config(_tiny_temporal(**time))
+    assert "time.tau0" in str(err.value) and fragment in str(err.value)
+
+
+def test_temporal_plans_up_to_four_thirds_of_t_final_are_fitted():
+    """tau0 = 1.3 t_final snaps to 1, 2 and 3 steps: three distinct levels."""
+    with pytest.warns(StabilityWarning):  # steps this long pass the stability budget
+        result = run_study(_tiny_temporal(tau0=1.3, t_final=1.0, halvings=2, mode="semidiscrete"))
+    assert [lv.n_steps for lv in result.levels] == [1, 2, 3]
+    assert all(math.isfinite(rate) for rate in result.pairwise[1:])
+
+
+def test_run_study_validates_once(monkeypatch, tiny_advection_config):
+    real, calls = harness.validate_config, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "validate_config", counting)
+    run_study(tiny_advection_config())
+    assert len(calls) == 1
 
 
 def test_validate_wave_flux_perturbation_shape():
