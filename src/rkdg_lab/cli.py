@@ -170,7 +170,7 @@ def _add_run_flags(parser, strict_cfl: bool) -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker threads for independent levels (default 1)",
+        help="worker threads for the per-level |L| and mu measurements and scan probes (default 1)",
     )
     parser.add_argument(
         "--seed", type=int, default=None, help="override the config's seed"

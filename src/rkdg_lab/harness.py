@@ -3,17 +3,18 @@
 This module owns four jobs. It fixes a small catalog of closed-form
 solutions together with the evolution operator each one satisfies; it
 runs every study through one runner, run_study, which assembles the
-discrete problems, marches each level with the requested integrator,
-fits convergence rates and applies the assertions a study declares; and
-it bundles the operator and projection identity checks behind the
-command line verification tools.
+discrete problems, marches all their levels in one lockstep batch with
+the requested integrator, fits convergence rates and applies the
+assertions a study declares; and it bundles the operator and projection
+identity checks behind the command line verification tools.
 
 Studies arrive as plain dictionaries in the "rkdg-lab-config/1" layout.
 Validation is strict about unknown keys so that a typo in a config file
 fails loudly instead of silently running with a default. All randomness
-flows through seeds stored in the config, and parallel runs split work
-per refinement level with results gathered by index, so a run with a
-thread pool reproduces the serial output exactly.
+flows through seeds stored in the config, and parallel runs split the
+per-level |L| and mu measurements and the scan probes with results
+gathered by index, so a run with a thread pool reproduces the serial
+output exactly.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ from .time_integration import (
     amplification_norm,
     cfl_violation,
     evolve,
+    evolve_levels,
     expm_reference,
     resolve_scheme,
     sigma_factor,
@@ -716,12 +718,12 @@ def _spatial_plan(config, scheme, budget, defect, problems, norms) -> tuple:
         cap = tcfg["cfl_fraction"] * budget
         c = min(cap / (p.scale**expo * nrm) for p, nrm in zip(problems, norms))
         taus = [c * p.scale**expo for p in problems]
-    for p, tau in zip(problems, taus):
-        if tcfg["t_final"] / tau > STEP_BUDGET:
-            raise NumericalError(
-                f"level {p.label} would need {tcfg['t_final'] / tau:.2e} steps; "
-                "shorten t_final or coarsen the study"
-            )
+        for p, tau in zip(problems, taus):
+            if tcfg["t_final"] / tau > STEP_BUDGET:
+                raise NumericalError(
+                    f"level {p.label} would need {tcfg['t_final'] / tau:.2e} steps; "
+                    "shorten t_final or coarsen the study"
+                )
     levels = [_Level(k, p.prepare(0.0), tau, p.label, p.scale, p.extra)
               for k, (p, tau) in enumerate(zip(problems, taus))]
     meta = {"manufactured_residual": defect, "cfl_budget": budget,
@@ -840,26 +842,24 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
         planned, measure, meta, notes = (_temporal_plan if temporal else _spatial_plan)(
             config, scheme, budget, defect, problems, norms
         )
-        # A step past the budget is flagged here and warned about by evolve.
+        # A step past the budget is flagged here and warned about by the march.
         flags = [f"level {lv.label}: {msg}" for lv in planned
                  if (msg := cfl_violation(lv.tau, norms[lv.k], budget))]
-
-        def run_level(lv: _Level) -> LevelResult:
-            problem, t_final = problems[lv.k], config["time"]["t_final"]
-            marched = evolve(
-                problem.op, lv.state0, lv.tau, t_final, scheme,
-                cfl_limit=budget, op_norm=norms[lv.k], strict_cfl=strict_cfl,
-            )
-            error, parts, extra = measure(problem, marched.state)
-            return LevelResult(
+        marched = evolve_levels(
+            [problems[lv.k].op for lv in planned], [lv.state0 for lv in planned],
+            [lv.tau for lv in planned], config["time"]["t_final"], scheme,
+            cfl_limit=budget, op_norms=[norms[lv.k] for lv in planned], strict_cfl=strict_cfl,
+        )
+        for lv, march in zip(planned, marched):
+            problem = problems[lv.k]
+            error, parts, extra = measure(problem, march.state)
+            levels.append(LevelResult(
                 scale=lv.scale, n_dofs=problem.n_dofs, tau=lv.tau,
-                n_steps=marched.n_steps, error=float(error),
+                n_steps=march.n_steps, error=float(error),
                 components={k: float(v) for k, v in parts.items()},
                 mu=float(mus[lv.k]), op_norm=float(norms[lv.k]),
                 extra={**lv.extra, "spectrum": spectrum_method(problem.op), **extra},
-            )
-
-        levels = _parallel_map(run_level, planned, jobs)
+            ))
         # A march can stay finite while its error overflows: a numerical
         # failure, not a point to fit.
         for lv, result in zip(planned, levels):
@@ -1201,6 +1201,11 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
     time = out["time"] = _section("time", out["time"], _TIME[study])
     if study == "spatial" and family == "spectral" and "tau" not in time:
         _fail("time.tau", "spectral studies step with a fixed tau; set one")
+    if study == "spatial" and "tau" in time and time["t_final"] / time["tau"] > STEP_BUDGET:
+        _fail("time.tau", (
+            f"the march needs {time['t_final'] / time['tau']:.2e} steps, "
+            f"past the budget {STEP_BUDGET}; shorten t_final or lengthen tau"
+        ))
     if study == "temporal":
         _temporal_taus(time)
 

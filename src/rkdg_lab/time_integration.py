@@ -10,12 +10,16 @@ and applied by Horner's rule with matrix-vector products only. The
 linear order is read off the coefficients: p is the largest index
 through which alpha_i = 1/i!.
 
-Each march binds its step v -> tau L v once (`_scaled_apply`); for a
-real CSR operator that is scipy's CSR matvec kernel, so every state is
-bitwise the one plain Horner with `tau * (L @ v)` gives, without the
-per-product scipy.sparse dispatch. L and tau are never folded into a
-precomputed R(tau L): a rounded R applied N times drifts by about N eps,
-Horner's per-step rounding by about sqrt(N) eps.
+The march is lockstep (`evolve_levels`): the levels of a study advance
+together as one stacked state, each step one Horner sweep whose products
+are one call of scipy's CSR matvec kernel on the stacked operator (or one
+batched matmul of the stacked mode matrices), scaled row by row by each
+level's step length. Every state is bitwise the one plain Horner with
+`tau * (L @ v)` gives on the level alone, without the per-product
+scipy.sparse dispatch and without one Python loop per level; `evolve` is
+the batch of one. L and tau are never folded into a precomputed
+R(tau L): a rounded R applied N times drifts by about N eps, Horner's
+per-step rounding by about sqrt(N) eps.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +41,7 @@ from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .core_fem import NumericalError
 from .dg_ops1d import LinearOperator, _mode_stack, operator_norm
+from .spectral import SymbolOperator
 
 #: Unknowns up to which `amplification_norm` forms a dense R(tau L) (for
 #: operators without symbols) and `expm_reference` a dense exp(tL). Krylov
@@ -165,45 +171,121 @@ def resolve_scheme(spec) -> RKScheme:
     return custom_rk(tuple(spec))
 
 
-def _scaled_apply(op, tau: float, u: np.ndarray) -> Callable:
-    """v -> tau * L v for states shaped and typed like u, bound once.
-
-    op is a callable, an object with an apply method, or a matrix. A
-    real CSR matrix (bare or in a LinearOperator) acting on a real
-    vector runs the CSR matvec kernel directly; the sums and their order
-    are those of `mat @ v`, so the result is bitwise `tau * (mat @ v)`.
-    Everything else falls back to exactly that expression.
-    """
+def _stack_kind(op, u: np.ndarray):
+    """What the level (op, u) stacks with: "csr" for a real square CSR
+    matrix (bare or in a LinearOperator) acting on a real vector, ("modes",
+    m) for a SymbolOperator with m components acting on its complex
+    coefficients, None for anything else, which is marched alone."""
     mat = op.mat if isinstance(op, LinearOperator) else op
     if (
         sp.issparse(mat)
         and mat.format == "csr"
         and mat.dtype == np.float64
         and u.dtype == np.float64
-        and u.shape == (mat.shape[1],)
+        and u.shape == (mat.shape[0],) == (mat.shape[1],)
     ):
-        n_rows, n_cols = mat.shape
-        indptr, indices, data = mat.indptr, mat.indices, mat.data
+        return "csr"
+    if (
+        isinstance(op, SymbolOperator)
+        and u.dtype == np.complex128
+        and u.shape == op.symbols.shape[:-1]
+    ):
+        return ("modes", op.symbols.shape[-1])
+    return None
 
-        def apply(v: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_rows)
-            _csr_matvec(n_rows, n_cols, indptr, indices, data, v, out)
-            out *= tau
-            return out
 
-        return apply
-    if callable(op):
-        apply_l = op
-    elif hasattr(op, "apply"):
-        apply_l = op.apply
+class _Stack(NamedTuple):
+    """Levels marched as one state u.
+
+    Level j owns rows stops[j-1]:stops[j] of h, the per-row step lengths,
+    and take(u, j) is its state. Stacked levels lie along u's first axis,
+    so levels 0..j are the prefix u[:stops[j]]; bind(r) returns
+    v -> h L v on a prefix of r rows.
+    """
+
+    u: np.ndarray
+    stops: list
+    h: np.ndarray
+    bind: Callable
+    take: Callable
+
+
+def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
+    """Levels of one _stack_kind as one _Stack, applied without dispatch.
+
+    A CSR stack is one CSR matrix whose indptr, indices and data are the
+    levels' own, concatenated with offsets (sp.block_diag may reorder a
+    row), so scipy's CSR matvec kernel sums each row exactly as for the
+    level alone. A modes stack concatenates the per-mode matrices, and
+    matmul multiplies each on its own. `out *= h` is then the IEEE
+    product `tau * (L v)` row by row. A level of no kind is a stack of
+    one that applies `tau * L v` through op itself.
+    """
+    shapes = [u.shape for u in states]
+    if kind == "csr":
+        mats = [op.mat if isinstance(op, LinearOperator) else op for op in ops]
+        u = np.concatenate(states)
+        stops = list(accumulate(len(s) for s in states))
+        spans = [(int(m.indptr[0]), int(m.indptr[-1])) for m in mats]
+        if len(mats) == 1 and spans[0][0] == 0:  # one level needs no offsets
+            indptr, indices, data = mats[0].indptr, mats[0].indices, mats[0].data
+        else:
+            nnz = sum(hi - lo for lo, hi in spans)
+            idx = np.int32 if max(len(u), nnz) < 2**31 else np.int64
+            indptr, indices = np.zeros(len(u) + 1, idx), np.empty(nnz, idx)
+            data, nz = np.empty(nnz), 0
+            for m, (lo, hi), row0, row1 in zip(mats, spans, [0] + stops, stops):
+                indptr[row0 + 1:row1 + 1] = m.indptr[1:] + (nz - lo)
+                indices[nz:nz + hi - lo] = m.indices[lo:hi] + row0
+                data[nz:nz + hi - lo] = m.data[lo:hi]
+                nz += hi - lo
+
+        def bind(rows: int) -> Callable:
+            hr = h[:rows]
+
+            def apply(v: np.ndarray) -> np.ndarray:
+                out = np.zeros(rows)
+                _csr_matvec(rows, rows, indptr, indices, data, v, out)
+                out *= hr
+                return out
+
+            return apply
+    elif kind is not None:
+        m = kind[1]
+        mats = np.concatenate([op.symbols.reshape(-1, m, m) for op in ops])
+        u = np.concatenate([s.reshape(-1, m) for s in states])
+        stops = list(accumulate(s.size // m for s in states))
+
+        def bind(rows: int) -> Callable:
+            mr, hr = mats[:rows], h[:rows, None]
+
+            def apply(v: np.ndarray) -> np.ndarray:
+                out = np.matmul(mr, v[..., None])[..., 0]
+                out *= hr
+                return out
+
+            return apply
     else:
-        apply_l = mat.__matmul__
-    return lambda v: tau * apply_l(v)
+        (op,), (u,) = ops, states
+        apply_l = op if callable(op) else op.apply if hasattr(op, "apply") else op.__matmul__
+        stops = [1]
+
+        def bind(rows: int) -> Callable:
+            return lambda v: float(h[0]) * apply_l(v)
+
+    h = np.empty(stops[-1])
+    if kind is None:
+        return _Stack(u, stops, h, bind, lambda u, j: u)
+    starts = [0] + stops[:-1]
+    return _Stack(u, stops, h, bind, lambda u, j: u[starts[j]:stops[j]].reshape(shapes[j]))
 
 
 def rk_step(op, u: np.ndarray, tau: float, scheme: RKScheme) -> np.ndarray:
     """One step u -> R(tau L) u by Horner's rule; s applications of L."""
-    return _horner(scheme.alphas, u, _scaled_apply(op, tau, np.asarray(u)))
+    u = np.asarray(u)
+    stack = _stack(_stack_kind(op, u), [op], [u])
+    stack.h[:] = tau
+    return stack.take(_horner(scheme.alphas, stack.u, stack.bind(stack.stops[0])), 0)
 
 
 class StabilityWarning(UserWarning):
@@ -226,6 +308,132 @@ class EvolveResult:
     norms: tuple | None = None  # per-step coefficient norms if recorded
 
 
+def _step_plan(tau: float, t_final: float) -> tuple[int, float]:
+    """(number of steps, length of the last) for uniform steps of length
+    tau over t_final, the last shortened when tau does not divide it."""
+    n_full = int(np.floor(t_final / tau + 1e-12))
+    remainder = t_final - n_full * tau
+    if remainder < 1e-12 * max(tau, 1.0):
+        return n_full, tau
+    return n_full + 1, remainder
+
+
+def evolve_levels(
+    ops: Sequence,
+    states: Sequence[np.ndarray],
+    taus: Sequence[float],
+    t_final: float,
+    scheme: RKScheme,
+    *,
+    cfl_limit: float | None = None,
+    op_norms: Sequence[float] | None = None,
+    strict_cfl: bool = False,
+    record_norms: bool = False,
+) -> list[EvolveResult]:
+    """March every level u' = L_i u from states[i] to t_final in lockstep,
+    with uniform steps of length taus[i] and one shorter last step when
+    taus[i] does not divide t_final.
+
+    Levels that stack (see _stack) march as one state, ordered by
+    descending step count: each step is one Horner sweep whose products
+    are one kernel call on the stacked operator. A finished level leaves
+    the stack, so the levels still marching are always a prefix of it.
+    Every state is bitwise the one marching its level alone gives.
+
+    When cfl_limit is given, each taus[i] * |L_i| is checked against it up
+    front, in level order (|L_i| measured unless op_norms passes them in);
+    a violation warns, or raises NumericalError under strict_cfl before
+    anything is marched. A level whose state is not finite when its step
+    count is a power of two, or at its end, has diverged and leaves the
+    stack, and so do the levels after it in level order. Once the rest
+    have finished, the first diverged level raises NumericalError with its
+    own step count.
+    """
+    if t_final < 0 or any(tau <= 0 for tau in taus):
+        raise ValueError("step size must be positive and horizon nonnegative")
+    if cfl_limit is not None:
+        for i, (op, tau) in enumerate(zip(ops, taus)):
+            nrm = operator_norm(op) if op_norms is None else op_norms[i]
+            msg = cfl_violation(tau, nrm, cfl_limit)
+            if msg is not None:
+                if strict_cfl:
+                    raise NumericalError(msg)
+                warnings.warn(msg, StabilityWarning, stacklevel=2)
+
+    plans = [_step_plan(tau, t_final) for tau in taus]
+    counts = [n for n, _ in plans]
+    finals = [np.array(u, copy=True) for u in states]
+    norms = [[float(np.linalg.norm(u))] for u in finals] if record_norms else None
+    diverged = {i: 0 for i, u in enumerate(finals) if not counts[i] and not np.isfinite(u).all()}
+
+    def march(group: list, k: int) -> tuple[list, int]:
+        """Advance the levels in group (by descending step count) from
+        step k, where their states are finals[i], to their ends. Returns
+        the levels left to march and their step when some diverged (not
+        marched by recursion: a closure calling itself is a reference
+        cycle, which keeps every operator and state alive until the
+        cyclic collector runs)."""
+        stack = _stack(kinds[group[0]], [ops[i] for i in group], [finals[i] for i in group])
+        starts = [0] + stack.stops[:-1]
+        for i, lo, hi in zip(group, starts, stack.stops):
+            stack.h[lo:hi] = taus[i]
+        u, active = stack.u, len(group)
+        while active:
+            finish = counts[group[active - 1]]
+            ending = [j for j in range(active) if counts[group[j]] == finish]
+            apply = stack.bind(stack.stops[active - 1])
+            while k < finish:
+                k += 1
+                if k == finish:
+                    for j in ending:
+                        stack.h[starts[j]:stack.stops[j]] = plans[group[j]][1]
+                u = _horner(scheme.alphas, u, apply)
+                if norms is not None:
+                    for j in range(active):
+                        norms[group[j]].append(float(np.linalg.norm(stack.take(u, j))))
+                if k & (k - 1) == 0 and not np.isfinite(u).all():
+                    for j in range(active):
+                        finals[group[j]] = stack.take(u, j)
+                        if not np.isfinite(finals[group[j]]).all():
+                            diverged[group[j]] = k
+                    return group[:active], k
+            for j in ending:
+                finals[group[j]] = stack.take(u, j)
+                if not np.isfinite(finals[group[j]]).all():
+                    diverged[group[j]] = k
+            active -= len(ending)
+            if active:
+                u = u[: stack.stops[active - 1]]
+        return [], k
+
+    kinds = [_stack_kind(op, u) for op, u in zip(ops, finals)]
+    groups: dict = {}
+    for i in sorted(range(len(ops)), key=lambda i: -counts[i]):
+        if counts[i]:
+            # A level that stacks with nothing is a group of its own.
+            groups.setdefault(kinds[i] or i, []).append(i)
+    for group in groups.values():
+        k = 0
+        # A diverged level stops the levels after it: the error is its own.
+        while group := [i for i in group if i < min(diverged, default=len(ops))]:
+            group, k = march(group, k)
+    if diverged:
+        first = min(diverged)
+        raise NumericalError(
+            f"march diverged: the state is not finite after {diverged[first]} steps"
+        )
+    return [
+        EvolveResult(
+            state=finals[i],
+            n_steps=counts[i],
+            tau=taus[i],
+            final_step=plans[i][1],
+            norms=None if norms is None else tuple(norms[i]),
+        )
+        for i in range(len(ops))
+    ]
+
+
 def evolve(
     op,
     u0: np.ndarray,
@@ -239,7 +447,8 @@ def evolve(
     record_norms: bool = False,
 ) -> EvolveResult:
     """March u' = L u from 0 to t_final with uniform steps of length tau,
-    finishing with one shorter step when tau does not divide t_final.
+    finishing with one shorter step when tau does not divide t_final:
+    evolve_levels on one level.
 
     When cfl_limit is given, tau * |L| is checked against it once up
     front (|L| measured unless op_norm passes it in); a violation warns,
@@ -248,42 +457,12 @@ def evolve(
     also checked whenever the step count is a power of two, so a march
     that overflows stops within twice its steps-to-overflow.
     """
-    if tau <= 0 or t_final < 0:
-        raise ValueError("step size must be positive and horizon nonnegative")
-    if cfl_limit is not None:
-        msg = cfl_violation(tau, operator_norm(op) if op_norm is None else op_norm, cfl_limit)
-        if msg is not None:
-            if strict_cfl:
-                raise NumericalError(msg)
-            warnings.warn(msg, StabilityWarning, stacklevel=2)
-
-    n_full = int(np.floor(t_final / tau + 1e-12))
-    remainder = t_final - n_full * tau
-    if remainder < 1e-12 * max(tau, 1.0):
-        remainder = 0.0
-
-    u = np.array(u0, copy=True)
-    norms = [float(np.linalg.norm(u))] if record_norms else None
-    n_steps = n_full + (1 if remainder > 0 else 0)
-    step = _scaled_apply(op, tau, u)
-    k = 0
-    for k in range(1, n_steps + 1):
-        if k > n_full:
-            step = _scaled_apply(op, remainder, u)
-        u = _horner(scheme.alphas, u, step)
-        if record_norms:
-            norms.append(float(np.linalg.norm(u)))
-        if k & (k - 1) == 0 and not np.isfinite(u).all():
-            break
-    if not np.isfinite(u).all():
-        raise NumericalError(f"march diverged: the state is not finite after {k} steps")
-    return EvolveResult(
-        state=u,
-        n_steps=n_steps,
-        tau=tau,
-        final_step=remainder if remainder > 0 else tau,
-        norms=tuple(norms) if record_norms else None,
+    (result,) = evolve_levels(
+        [op], [u0], [tau], t_final, scheme,
+        cfl_limit=cfl_limit, op_norms=None if op_norm is None else [op_norm],
+        strict_cfl=strict_cfl, record_norms=record_norms,
     )
+    return result
 
 
 def _dense(op, what: str) -> np.ndarray:

@@ -210,6 +210,15 @@ def test_unfittable_temporal_plan_exits_two(tmp_path, capsys, write_config):
     assert not (tmp_path / "out").exists()
 
 
+def test_spatial_tau_past_the_step_budget_exits_two(tmp_path, capsys, write_config,
+                                                   tiny_advection_config):
+    doc = tiny_advection_config(time={"integrator": "ssp3", "t_final": 1.0, "tau": 1e-7})
+    path = write_config(doc, "over_budget.json")
+    assert main(["converge", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: time.tau:")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["converge", "dump-operator", "stability-scan"])
 def test_unwritable_out_exits_two(tmp_path, capsys, write_config, tiny_advection_config, command):
     doc = stability_doc() if command == "stability-scan" else tiny_advection_config()

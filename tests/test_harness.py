@@ -234,6 +234,19 @@ def test_validate_refuses_temporal_plans_it_cannot_fit(time, fragment):
     assert "time.tau0" in str(err.value) and fragment in str(err.value)
 
 
+def test_validate_refuses_an_explicit_spatial_tau_past_the_step_budget(tiny_advection_config):
+    """t_final / tau needs no |L|: the plan is refused before anything is
+    assembled. The cfl_fraction policy is still checked at plan time."""
+    doc = tiny_advection_config(
+        time={"integrator": "ssp3", "t_final": 1.0, "tau": 1e-7},
+    )
+    with pytest.raises(ConfigError) as err:
+        validate_config(doc)
+    assert str(err.value).startswith("time.tau:") and "1.00e+07 steps" in str(err.value)
+    doc["time"]["tau"] = 1.0 / harness.STEP_BUDGET
+    assert validate_config(doc)["time"]["tau"] == 1.0 / harness.STEP_BUDGET
+
+
 def test_temporal_plans_up_to_four_thirds_of_t_final_are_fitted():
     """tau0 = 1.3 t_final snaps to 1, 2 and 3 steps: three distinct levels."""
     with pytest.warns(StabilityWarning):  # steps this long pass the stability budget

@@ -12,6 +12,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from rkdg_lab import (
@@ -24,9 +26,11 @@ from rkdg_lab import (
     amplification_norm,
     assemble_high_order_lh,
     assemble_ultraweak_third,
+    assemble_wave_alphabeta,
     build_problem,
     custom_rk,
     evolve,
+    evolve_levels,
     expm_reference,
     load_config,
     operator_norm,
@@ -279,6 +283,141 @@ def test_rk_step_kernel_benchmark(benchmark):
     scheme = resolve_scheme("ssp3")
     got = benchmark.pedantic(rk_step, args=(op, u, tau, scheme), rounds=20, iterations=50)
     assert np.array_equal(got, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
+
+
+# ---------------------------------------------------------------------------
+# The lockstep march is bitwise the per-level march
+# ---------------------------------------------------------------------------
+
+T_LOCKSTEP = 0.3
+EXCHANGE = np.array([[0.0, 1.0], [1.0, 0.5]])
+
+
+def lockstep_level(kind, n, rng):
+    """(op, initial state, plain apply_l) of one level of the given kind
+    on n cells (n modes for the symbol operator)."""
+    if kind == "symbol":
+        op = SymbolOperator(n, 1, (EXCHANGE,))
+        shape = op.symbols.shape[:-1]
+        u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return op, u0, lambda v: np.einsum("...ij,...j->...i", op.symbols, v)
+    if kind == "uniform":
+        op = assemble_high_order_lh(Mesh1D.uniform(n), 1, 1, -1.0, theta0=1.0)
+    elif kind == "perturbed":
+        op = assemble_high_order_lh(Mesh1D.perturbed(n, rel=0.3, seed=n), 2, 1, -1.0, theta0=1.0)
+    else:  # a two-field system
+        op = assemble_wave_alphabeta(Mesh1D.uniform(n), 1, 0.25, -0.5, -0.5)
+    return op, rng.standard_normal(op.n), lambda v: op.mat @ v
+
+
+def plain_march(apply_l, u0, res, alphas):
+    u = u0
+    for length in [res.tau] * (res.n_steps - 1) + [res.final_step]:
+        u = reference_step(apply_l, u, length, alphas)
+    return u
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    levels=st.lists(
+        st.tuples(
+            st.sampled_from(["uniform", "perturbed", "system", "symbol"]),
+            st.integers(3, 9),  # cells or modes
+            st.sampled_from([1, 2, 3, 5, 8]),  # steps
+            st.booleans(),  # the last step is short
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    scheme=st.sampled_from(["euler", "ssp3", "rk4", "two_step_rk4"]),
+    record=st.booleans(),
+)
+def test_lockstep_march_is_bitwise_the_per_level_march(levels, scheme, record):
+    """Levels whose step counts tie, differ and end on a short step, on
+    uniform and perturbed meshes, a two-field system and a symbol
+    operator, march together exactly as each marches alone."""
+    rng = np.random.default_rng(len(levels))
+    scheme = resolve_scheme(scheme)
+    built = [lockstep_level(kind, n, rng) for kind, n, _, _ in levels]
+    taus = [T_LOCKSTEP / (count - 0.4 if short else count) for _, _, count, short in levels]
+    got = evolve_levels([b[0] for b in built], [b[1] for b in built], taus, T_LOCKSTEP,
+                        scheme, record_norms=record)
+    for (op, u0, apply_l), tau, (_, _, count, short), res in zip(built, taus, levels, got):
+        alone = evolve(op, u0, tau, T_LOCKSTEP, scheme, record_norms=record)
+        assert res.n_steps == alone.n_steps == count
+        assert res.final_step == alone.final_step
+        assert (res.final_step < tau) == short
+        assert res.state.shape == alone.state.shape and res.state.dtype == alone.state.dtype
+        assert np.array_equal(res.state, alone.state)
+        assert np.array_equal(res.state, plain_march(apply_l, u0, res, scheme.alphas))
+        assert res.norms == alone.norms
+
+
+def test_lockstep_march_takes_a_callable_as_a_batch_of_one():
+    """A callable stacks with nothing; it marches alone through the same
+    loop while two sparse levels march stacked."""
+    op, tau = ultraweak_k3(8)
+    apply_l = lambda v: np.roll(v, 1) - 0.7 * v
+    rng = np.random.default_rng(9)
+    ops = [op, apply_l, op]
+    states = [rng.standard_normal(op.n), rng.standard_normal(10), rng.standard_normal(op.n)]
+    taus = [tau, 0.3, 0.7 * tau]
+    scheme = resolve_scheme("rk4")
+    for res, *level in zip(evolve_levels(ops, states, taus, 40.3 * tau, scheme), ops, states, taus):
+        alone = evolve(*level, 40.3 * tau, scheme)
+        assert (res.n_steps, res.final_step) == (alone.n_steps, alone.final_step)
+        assert np.array_equal(res.state, alone.state)
+
+
+def growth_level(g, tau):
+    """A sparse operator whose forward-Euler step of length tau multiplies
+    every entry by g."""
+    return sp.identity(4, format="csr") * ((g - 1.0) / tau)
+
+
+@pytest.mark.parametrize("order,steps", [((0, 1, 2), 128), ((2, 1, 0), 32)])
+def test_lockstep_divergence_raises_what_the_per_level_sequence_raises(order, steps):
+    """Growth by 1e3 a step overflows at step 103 (checked at 128), by
+    1e10 at step 31 (checked at 32); the 0.6 level stays finite. Either
+    diverged level leaving the batch lets the others march on, and the
+    error is the first diverged level's in level order, with its own step
+    count, as marching the levels one after another raises."""
+    levels = [(growth_level(1e3, 1.0), 1.0), (growth_level(0.6, 0.4), 0.4),
+              (growth_level(1e10, 0.5), 0.5)]
+    ops, taus = [levels[i][0] for i in order], [levels[i][1] for i in order]
+    states, euler = [np.ones(4)] * 3, resolve_scheme("euler")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as sequence:
+            for op, tau in zip(ops, taus):
+                evolve(op, np.ones(4), tau, 400.0, euler)
+        with pytest.raises(NumericalError) as lockstep:
+            evolve_levels(ops, states, taus, 400.0, euler)
+    assert str(lockstep.value) == str(sequence.value)
+    assert str(lockstep.value).endswith(f"not finite after {steps} steps")
+
+
+def test_lockstep_cfl_checks_come_first_in_level_order():
+    """Every level is checked before any is marched: under strict_cfl the
+    first violation raises with no product applied, and without it each
+    violating level warns in level order."""
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return -v
+
+    ops = [counted, growth_level(0.5, 1.0), growth_level(0.5, 1.0)]
+    kwargs = {"cfl_limit": 1.0, "op_norms": [1.0, 2.0, 3.0]}
+    args = (ops, [np.ones(4)] * 3, [0.1, 1.0, 1.0], 2.0, resolve_scheme("euler"))
+    with pytest.raises(NumericalError, match=r"tau \* \|L\| = 2.0000e\+00"):
+        evolve_levels(*args, strict_cfl=True, **kwargs)
+    assert calls == []
+    with pytest.warns(StabilityWarning) as caught:
+        evolve_levels(*args, **kwargs)
+    assert [str(w.message)[:22] for w in caught] == [
+        "tau * |L| = 2.0000e+00", "tau * |L| = 3.0000e+00",
+    ]
+    assert calls
 
 
 # ---------------------------------------------------------------------------
