@@ -1,12 +1,13 @@
 """Command line front end.
 
 Subcommands map onto the library's entry points: ``converge`` runs a
-spatial or temporal refinement study from a JSON config, ``stability-scan``
-sweeps amplification norms over step sizes, ``compare-semidiscrete`` reruns
-a temporal config against the matrix exponential instead of the exact
-solution, ``check-operators`` and ``check-projections`` run the built-in
-verification batteries, and ``dump-operator`` writes an assembled operator
-in MatrixMarket form for outside inspection.
+spatial or temporal refinement study from a JSON config (a temporal study
+fits the temporal part of the error, measured against the matrix
+exponential, and reports the spatial part once), ``stability-scan`` sweeps
+amplification norms over step sizes, ``check-operators`` and
+``check-projections`` run the built-in verification batteries, and
+``dump-operator`` writes an assembled operator in MatrixMarket form for
+outside inspection.
 
 Exit codes: 0 success, 1 a requested rate or scan expectation failed,
 2 bad configuration or arguments, 3 numerical failure (lost semiboundedness,
@@ -105,14 +106,6 @@ def _cmd_stability(args) -> int:
     return _run_and_report(args, _load_for_run(args), expect_study="stability")
 
 
-def _cmd_compare_semidiscrete(args) -> int:
-    doc = _load_for_run(args)
-    time = doc.get("time")
-    if isinstance(time, dict):
-        doc["time"] = {**time, "mode": "semidiscrete"}
-    return _run_and_report(args, doc, expect_study="temporal")
-
-
 def _cmd_check_operators(args) -> int:
     results = check_operators(seed=args.seed)
     print(format_checks(results))
@@ -196,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability-scan", help="sweep amplification norms over step sizes")
     _add_run_flags(p, strict_cfl=False)
     p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser(
-        "compare-semidiscrete",
-        help="rerun a temporal config against the matrix exponential reference",
-    )
-    _add_run_flags(p, strict_cfl=False)
-    p.set_defaults(func=_cmd_compare_semidiscrete)
 
     for name, fn in (
         ("check-operators", _cmd_check_operators),

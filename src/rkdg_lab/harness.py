@@ -89,7 +89,7 @@ from .time_integration import (
     RKScheme,
     _horner,
     amplification_norm,
-    cfl_violation,
+    check_cfl,
     evolve,
     evolve_levels,
     expm_reference,
@@ -728,45 +728,33 @@ def _spatial_plan(config, scheme, budget, defect, problems, norms) -> tuple:
               for k, (p, tau) in enumerate(zip(problems, taus))]
     meta = {"manufactured_residual": defect, "cfl_budget": budget,
             "tau_exponent": expo, "integrator": scheme.name}
-    return (levels, lambda problem, state: (*problem.error(state, tcfg["t_final"]), {}),
-            meta, lambda results: [])
+    return levels, lambda problem, state: problem.error(state, tcfg["t_final"]), meta, []
 
 
 def _temporal_plan(config, scheme, budget, defect, problems, norms) -> tuple:
     """One operator stepped at each halved tau, with |R(tau L)| per step.
-    Mode semidiscrete measures a march against the reference exp(tL) u_h(0);
-    mode pde against the exact solution, less the reference's own error."""
+    The fully discrete error splits into a spatial and a temporal part. A
+    level's error is the temporal part |R(tau L)^N u_h(0) - exp(tL) u_h(0)|,
+    what is fitted; the spatial part |u(t) - exp(tL) u_h(0)| does not
+    depend on tau and is reported once, as meta.spatial_error."""
     (problem,), (nrm,) = problems, norms
-    t_final, mode = config["time"]["t_final"], config["time"]["mode"]
+    t_final = config["time"]["t_final"]
     state0 = problem.prepare(0.0)
     reference, reference_gap = expm_reference(problem.op, t_final, state0)
-    floor = problem.error(reference, t_final)[0] if mode == "pde" else 0.0
 
     def measure(problem: Problem, state) -> tuple:
-        if mode == "semidiscrete":
-            err = float(np.linalg.norm(np.asarray(state) - reference))
-            return err, {"semidiscrete_gap": err}, {}
-        raw, parts = problem.error(state, t_final)
-        extra = {"raw_error": float(raw), "floor": float(floor)}
-        return max(abs(raw - floor), 1e-16), parts, extra
-
-    def notes(results: Sequence[LevelResult]) -> list[str]:
-        flags = []
-        if mode == "pde" and floor > 0.2 * min(lv.extra["raw_error"] for lv in results):
-            flags.append(
-                "semidiscrete floor exceeds 20 percent of the smallest raw "
-                "error; reported errors are floor-subtracted"
-            )
-        return flags + [f"amplification {lv.extra['amplification']:.6f} at tau {lv.tau:.3e}"
-                        for lv in results if lv.extra["amplification"] > 1 + 1e-3]
+        err = float(np.linalg.norm(np.asarray(state) - reference))
+        return err, {"semidiscrete_gap": err}
 
     levels = [_Level(0, state0, tau, f"tau={tau:.3e}", tau,
                      {"amplification": float(amplification_norm(problem.op, scheme, tau))})
               for tau in _temporal_taus(config["time"])]
-    meta = {"mode": mode, "floor": float(floor), "operator_norm": float(nrm),
-            "integrator": scheme.name, "manufactured_residual": defect,
-            "reference_gap": reference_gap}
-    return levels, measure, meta, notes
+    flags = [f"amplification {lv.extra['amplification']:.6f} at tau {lv.tau:.3e}"
+             for lv in levels if lv.extra["amplification"] > 1 + 1e-3]
+    meta = {"spatial_error": float(problem.error(reference, t_final)[0]),
+            "operator_norm": float(nrm), "integrator": scheme.name,
+            "manufactured_residual": defect, "reference_gap": reference_gap}
+    return levels, measure, meta, flags
 
 
 def _scan_stability(config: Mapping, scheme: RKScheme, jobs: int) -> tuple:
@@ -812,11 +800,13 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
     """Validate a study configuration once and run it.
 
     Spatial and temporal studies go through one sequence: build the
-    operators, measure |L| and mu and gate on mu, plan the levels, march
-    each, measure its error, fit and assert. What differs between the two
-    kinds is their plan (levels, measure, meta, notes): measure(problem,
-    state) gives a marched level's (error, components, extra) and
-    notes(results) the flags read off the marched levels.
+    operators, measure |L| and mu and gate on mu, plan the levels, check
+    their steps against the stability budget, march them, measure each
+    error, fit and assert. What differs between the two kinds is their
+    plan (levels, measure, meta, flags): measure(problem, state) gives a
+    marched level's (error, components), and flags follow the budget's.
+    A step past the budget is a flag and a StabilityWarning naming the
+    caller, or a NumericalError under strict_cfl.
     """
     config = validate_config(config)
     scheme = resolve_scheme(config["time"]["integrator"])
@@ -839,33 +829,32 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
         for problem, mu, nrm in zip(problems, mus, norms):
             _gate_mu(problem, mu, nrm)
         budget = stability_budget(scheme)
-        planned, measure, meta, notes = (_temporal_plan if temporal else _spatial_plan)(
+        planned, measure, meta, plan_flags = (_temporal_plan if temporal else _spatial_plan)(
             config, scheme, budget, defect, problems, norms
         )
-        # A step past the budget is flagged here and warned about by the march.
-        flags = [f"level {lv.label}: {msg}" for lv in planned
-                 if (msg := cfl_violation(lv.tau, norms[lv.k], budget))]
+        violations = check_cfl([lv.tau for lv in planned], [norms[lv.k] for lv in planned],
+                               budget, strict_cfl)
+        flags = [f"level {lv.label}: {msg}" for lv, msg in zip(planned, violations) if msg]
+        flags += plan_flags
         marched = evolve_levels(
             [problems[lv.k].op for lv in planned], [lv.state0 for lv in planned],
             [lv.tau for lv in planned], config["time"]["t_final"], scheme,
-            cfl_limit=budget, op_norms=[norms[lv.k] for lv in planned], strict_cfl=strict_cfl,
         )
         for lv, march in zip(planned, marched):
             problem = problems[lv.k]
-            error, parts, extra = measure(problem, march.state)
+            error, parts = measure(problem, march.state)
             levels.append(LevelResult(
                 scale=lv.scale, n_dofs=problem.n_dofs, tau=lv.tau,
                 n_steps=march.n_steps, error=float(error),
                 components={k: float(v) for k, v in parts.items()},
                 mu=float(mus[lv.k]), op_norm=float(norms[lv.k]),
-                extra={**lv.extra, "spectrum": spectrum_method(problem.op), **extra},
+                extra={**lv.extra, "spectrum": spectrum_method(problem.op)},
             ))
         # A march can stay finite while its error overflows: a numerical
         # failure, not a point to fit.
         for lv, result in zip(planned, levels):
             if not math.isfinite(result.error):
                 raise NumericalError(f"level {lv.label} has a non-finite error ({result.error})")
-        flags += notes(levels)
         fit = fit_semilog if config["scheme"]["family"] == "spectral" else fit_loglog
         fitted, pairwise = fit([lv.scale for lv in levels], [lv.error for lv in levels])
         assertions, passed = _assert_rates(config["report"], fitted)
@@ -986,6 +975,15 @@ def _nullable(check: Callable) -> Callable:
     return lambda value, path: _OPTIONAL if value is None else check(value, path)
 
 
+def _dropped(check: Callable) -> Callable:
+    """A retired key: checked as before, then left out of the result."""
+    def drop(value, path: str):
+        check(value, path)
+        return _OPTIONAL
+
+    return drop
+
+
 def _integrator(value, path: str):
     if isinstance(value, (list, tuple)):
         value = _list(_number())(value, path)
@@ -1073,7 +1071,9 @@ _TIME = {
         "t_final": _T_FINAL,
         "tau0": (_number(0.0, 10.0, lo_open=True), _REQUIRED),
         "halvings": (_integer(1, 12), 5),
-        "mode": (_text(("pde", "semidiscrete")), "pde"),
+        # Accepted for configs written when temporal studies had two
+        # modes; every temporal study now fits one error, so it is dropped.
+        "mode": (_dropped(_text(("pde", "semidiscrete"))), _OPTIONAL),
     },
     "stability": {"integrator": (_integrator, _REQUIRED)},
 }

@@ -292,11 +292,22 @@ class StabilityWarning(UserWarning):
     pass
 
 
-def cfl_violation(tau: float, op_norm: float, cfl_limit: float) -> str | None:
-    """What is wrong when tau * |L| exceeds the budget cfl_limit, or None."""
-    if tau * op_norm > cfl_limit * (1 + 1e-12):
-        return f"tau * |L| = {tau * op_norm:.4e} exceeds the stability budget {cfl_limit:.4e}"
-    return None
+def check_cfl(taus: Sequence[float], op_norms, cfl_limit: float, strict_cfl: bool) -> list:
+    """What is wrong with each level, in order, when taus[i] * op_norms[i]
+    exceeds the budget cfl_limit, or None; op_norms may be lazy. A
+    violation raises NumericalError under strict_cfl, or else warns a
+    StabilityWarning at the line that called check_cfl's caller, so a
+    public entry point that checks its own steps names its caller."""
+    msgs = []
+    for tau, nrm in zip(taus, op_norms):
+        msg = None
+        if tau * nrm > cfl_limit * (1 + 1e-12):
+            msg = f"tau * |L| = {tau * nrm:.4e} exceeds the stability budget {cfl_limit:.4e}"
+            if strict_cfl:
+                raise NumericalError(msg)
+            warnings.warn(msg, StabilityWarning, stacklevel=3)
+        msgs.append(msg)
+    return msgs
 
 
 @dataclass(frozen=True)
@@ -342,7 +353,8 @@ def evolve_levels(
 
     When cfl_limit is given, each taus[i] * |L_i| is checked against it up
     front, in level order (|L_i| measured unless op_norms passes them in);
-    a violation warns, or raises NumericalError under strict_cfl before
+    a violation warns at the caller's line, or raises NumericalError under
+    strict_cfl before
     anything is marched. A level whose state is not finite when its step
     count is a power of two, or at its end, has diverged and leaves the
     stack, and so do the levels after it in level order. Once the rest
@@ -352,13 +364,8 @@ def evolve_levels(
     if t_final < 0 or any(tau <= 0 for tau in taus):
         raise ValueError("step size must be positive and horizon nonnegative")
     if cfl_limit is not None:
-        for i, (op, tau) in enumerate(zip(ops, taus)):
-            nrm = operator_norm(op) if op_norms is None else op_norms[i]
-            msg = cfl_violation(tau, nrm, cfl_limit)
-            if msg is not None:
-                if strict_cfl:
-                    raise NumericalError(msg)
-                warnings.warn(msg, StabilityWarning, stacklevel=2)
+        norms = (operator_norm(op) for op in ops) if op_norms is None else op_norms
+        check_cfl(taus, norms, cfl_limit, strict_cfl)
 
     plans = [_step_plan(tau, t_final) for tau in taus]
     counts = [n for n, _ in plans]
@@ -451,17 +458,16 @@ def evolve(
     evolve_levels on one level.
 
     When cfl_limit is given, tau * |L| is checked against it once up
-    front (|L| measured unless op_norm passes it in); a violation warns,
-    or raises NumericalError under strict_cfl. A march whose final state
+    front (|L| measured unless op_norm passes it in); a violation warns at
+    the caller's line, or raises NumericalError under strict_cfl. A march whose final state
     is not finite has diverged and raises NumericalError; the state is
     also checked whenever the step count is a power of two, so a march
     that overflows stops within twice its steps-to-overflow.
     """
-    (result,) = evolve_levels(
-        [op], [u0], [tau], t_final, scheme,
-        cfl_limit=cfl_limit, op_norms=None if op_norm is None else [op_norm],
-        strict_cfl=strict_cfl, record_norms=record_norms,
-    )
+    if cfl_limit is not None:
+        nrm = operator_norm(op) if op_norm is None else op_norm
+        check_cfl([tau], [nrm], cfl_limit, strict_cfl)
+    (result,) = evolve_levels([op], [u0], [tau], t_final, scheme, record_norms=record_norms)
     return result
 
 

@@ -101,22 +101,13 @@ def test_stability_scan_runs_and_reports(tmp_path, capsys, write_config):
     assert main(["stability-scan", "--config", path, "--out", str(tmp_path)]) == 1
 
 
-def test_compare_semidiscrete_forces_the_mode(tmp_path, capsys, write_config):
-    doc = {
-        "schema": "rkdg-lab-config/1",
-        "study": "temporal",
-        "name": "modes",
-        "solution": "advection_sin",
-        "scheme": {"family": "ldg", "degree": 1},
-        "grid": {"n": 12},
-        "time": {"integrator": "taylor2", "t_final": 0.5, "tau0": 0.02,
-                 "halvings": 2, "mode": "pde"},
-    }
-    path = write_config(doc, "modes.json")
-    code = main(["compare-semidiscrete", "--config", path, "--out", str(tmp_path)])
-    assert code == 0
-    report = json.loads((tmp_path / "modes.json").read_text())
-    assert report["config"]["time"]["mode"] == "semidiscrete"
+def test_compare_semidiscrete_is_gone(write_config):
+    """Every temporal study fits what the subcommand used to force, so it
+    was removed: argparse refuses it."""
+    path = write_config(stability_doc(), "scan.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["compare-semidiscrete", "--config", path])
+    assert exc.value.code == 2
 
 
 def test_format_selects_outputs(tmp_path, write_config, tiny_advection_config):

@@ -16,8 +16,10 @@ from rkdg_lab import (
     NumericalError,
     StabilityWarning,
     build_operator,
+    build_problem,
     check_operators,
     check_projections,
+    evolve,
     fit_loglog,
     fit_semilog,
     format_checks,
@@ -419,6 +421,49 @@ def test_temporal_study_semidiscrete_smoke():
     assert result.fitted_rate == pytest.approx(2.0, abs=0.1)
     taus = [lv.tau for lv in result.levels]
     assert taus == sorted(taus, reverse=True)
+
+
+def test_time_mode_is_accepted_and_has_no_effect():
+    """A temporal study fits one error whatever a legacy time.mode says:
+    pde, semidiscrete and no mode give bitwise the same study."""
+    results = []
+    for mode in ("pde", "semidiscrete", None):
+        doc = _tiny_temporal(tau0=0.05, t_final=0.4, halvings=2)
+        if mode is None:
+            del doc["time"]["mode"]
+        else:
+            doc["time"]["mode"] = mode
+        assert "mode" not in validate_config(doc)["time"]
+        results.append(run_study(doc))
+    first = results[0]
+    for other in results[1:]:
+        assert other.levels == first.levels
+        assert other.fitted_rate == first.fitted_rate
+        assert other.meta == first.meta
+
+
+def test_temporal_errors_split_the_fully_discrete_error():
+    """On temporal_taylor3, each level marched by evolve is s + e or less
+    from the exact solution and at least |s - e|, where s is the spatial
+    part meta.spatial_error and e the level's temporal error."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "temporal_taylor3.json")
+    config = validate_config(load_config(path))
+    result = run_study(config)
+    problem = build_problem(config, solution_catalog()[config["solution"]], config["grid"]["n"])
+    scheme = resolve_scheme(config["time"]["integrator"])
+    t_final, s = config["time"]["t_final"], result.meta["spatial_error"]
+    assert s > 0
+    for lv in result.levels:
+        state = evolve(problem.op, problem.prepare(0.0), lv.tau, t_final, scheme).state
+        full = problem.error(state, t_final)[0]
+        assert abs(s - lv.error) - 1e-15 <= full <= s + lv.error + 1e-15
+
+
+def test_run_study_warns_at_its_caller(tiny_advection_config):
+    doc = tiny_advection_config(time={"integrator": "ssp3", "t_final": 0.3, "tau": 0.15})
+    with pytest.warns(StabilityWarning) as caught:
+        run_study(doc)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_mu_gate_scales_with_the_operator_norm():

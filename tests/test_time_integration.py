@@ -196,6 +196,13 @@ def test_cfl_gate_warns_or_raises():
         evolve(op, u0, 1.0, 1.0, scheme, cfl_limit=1e-3, strict_cfl=True)
 
 
+def test_cfl_warning_names_the_caller_of_evolve():
+    op = assemble_high_order_lh(Mesh1D.uniform(16), 1, 1, -1.0, theta0=1.0)
+    with pytest.warns(StabilityWarning) as caught:
+        evolve(op, np.ones(op.n), 1.0, 1.0, resolve_scheme("ssp3"), cfl_limit=1e-3)
+    assert [w.filename for w in caught] == [__file__]
+
+
 # ---------------------------------------------------------------------------
 # The bound step is bitwise plain Horner
 # ---------------------------------------------------------------------------
