@@ -25,7 +25,7 @@ from .core_fem import (
     legendre_table,
 )
 from .dg_ops1d import LinearOperator, assemble_d_theta
-from .projections import pi_theta_rhs, pi_theta_system
+from .projections import _require_small_residual, pi_theta_rhs, pi_theta_system
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,21 @@ def _cell_tables(mesh: Mesh1D, degree: int, npts: int):
     return pts, wts, phi
 
 
+def _sample_2d(f: Callable, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """f on the tensor grid of per-cell points p1 (n1, q1) and p2 (n2, q2),
+    shape (n1, n2, q1, q2). f takes flat (x1, x2) arrays."""
+    shape = p1.shape[:1] + p2.shape[:1] + p1.shape[1:] + p2.shape[1:]
+    x1 = np.broadcast_to(p1[:, None, :, None], shape).reshape(-1)
+    x2 = np.broadcast_to(p2[None, :, None, :], shape).reshape(-1)
+    return np.asarray(f(x1, x2), dtype=float).reshape(shape)
+
+
 def project_l2_2d(f: Callable, mesh: Mesh2D, degree: int, npts: int | None = None) -> DGFunction2D:
     """Tensor-quadrature L2 projection; f takes (x1, x2) arrays."""
     npts = degree + 2 if npts is None else npts
     p1, w1, phi1 = _cell_tables(mesh.mesh1, degree, npts)
     p2, w2, phi2 = _cell_tables(mesh.mesh2, degree, npts)
-    x1 = p1[:, None, :, None]
-    x2 = p2[None, :, None, :]
-    fv = f(np.broadcast_to(x1, x1.shape[:1] + x2.shape[1:2] + (npts, npts)).reshape(-1),
-           np.broadcast_to(x2, x1.shape[:1] + x2.shape[1:2] + (npts, npts)).reshape(-1))
-    n1, n2 = mesh.n_cells
-    fv = np.asarray(fv, dtype=float).reshape(n1, n2, npts, npts)
+    fv = _sample_2d(f, p1, p2)
     coeffs = np.einsum("abpq,ap,bq,amp,bnq->abmn", fv, w1, w2, phi1, phi2)
     return DGFunction2D(mesh, degree, coeffs)
 
@@ -107,11 +111,8 @@ def l2_error_2d(u: DGFunction2D, f: Callable, npts: int | None = None) -> float:
     npts = u.degree + 5 if npts is None else npts
     p1, w1, phi1 = _cell_tables(u.mesh.mesh1, u.degree, npts)
     p2, w2, phi2 = _cell_tables(u.mesh.mesh2, u.degree, npts)
-    n1, n2 = u.mesh.n_cells
     uv = np.einsum("abmn,amp,bnq->abpq", u.coeffs, phi1, phi2)
-    x1 = np.broadcast_to(p1[:, None, :, None], (n1, n2, npts, npts)).reshape(-1)
-    x2 = np.broadcast_to(p2[None, :, None, :], (n1, n2, npts, npts)).reshape(-1)
-    fv = np.asarray(f(x1, x2), dtype=float).reshape(n1, n2, npts, npts)
+    fv = _sample_2d(f, p1, p2)
     wq = w1[:, None, :, None] * w2[None, :, None, :]
     return float(np.sqrt(np.sum(wq * (uv - fv) ** 2)))
 
@@ -168,25 +169,16 @@ def pi_tensor_2d(
 
     p2, w2, phi2 = _cell_tables(m2, degree, npts)
     ys = np.concatenate([p2.reshape(-1), m2.interfaces])  # n2*npts + n2 samples
-    n_ys = ys.size
 
     # Stage-one right-hand sides: for each y, moments over mesh1 cells and
     # values at mesh1 interfaces of x -> w(x, y).
     p1, w1, phi1 = _cell_tables(m1, degree, npts)
-    xg = np.broadcast_to(p1.reshape(-1)[:, None], (n1 * npts, n_ys))
-    yg = np.broadcast_to(ys[None, :], (n1 * npts, n_ys))
-    wv = np.asarray(w(xg.reshape(-1), yg.reshape(-1)), dtype=float).reshape(n1, npts, n_ys)
-    moments1 = np.einsum("apy,ap,amp->amy", wv, w1, phi1)  # (n1, k+1, n_ys)
-    xi = np.broadcast_to(m1.interfaces[:, None], (n1, n_ys))
-    yi = np.broadcast_to(ys[None, :], (n1, n_ys))
-    ifc1 = np.asarray(w(xi.reshape(-1), yi.reshape(-1)), dtype=float).reshape(n1, n_ys)
-    rhs1 = pi_theta_rhs(moments1, ifc1, degree)  # (n1*(k+1), n_ys)
+    wv = _sample_2d(w, p1, ys[None, :])[:, 0]  # (n1, npts, ys.size)
+    moments1 = np.einsum("apy,ap,amp->amy", wv, w1, phi1)  # (n1, k+1, ys.size)
+    ifc1 = _sample_2d(w, m1.interfaces[:, None], ys[None, :])[:, 0, 0]  # (n1, ys.size)
+    rhs1 = pi_theta_rhs(moments1, ifc1, degree)  # (n1*(k+1), ys.size)
     c1 = lu1.solve(rhs1)  # stage-one coefficients at every sample
-    resid1 = np.linalg.norm(mat1 @ c1 - rhs1)
-    if resid1 > 1e-10 * max(np.linalg.norm(rhs1), 1e-300):
-        from .core_fem import NumericalError
-
-        raise NumericalError(f"stage-one tensor projection residual {resid1:.3e}")
+    _require_small_residual(mat1, c1, rhs1, "stage-one tensor projection")
 
     # Stage two: each row of c1 is a function of y known at the sample set.
     g_quad = c1[:, : n2 * npts].reshape(n1 * k1, n2, npts)
@@ -194,34 +186,24 @@ def pi_tensor_2d(
     moments2 = np.einsum("gbq,bq,bnq->bng", g_quad, w2, phi2)  # (n2, k+1, n1*(k+1))
     rhs2 = pi_theta_rhs(moments2, g_ifc.T, degree)  # (n2*(k+1), n1*(k+1))
     c2 = lu2.solve(rhs2)
-    resid2 = np.linalg.norm(mat2 @ c2 - rhs2)
-    if resid2 > 1e-10 * max(np.linalg.norm(rhs2), 1e-300):
-        from .core_fem import NumericalError
-
-        raise NumericalError(f"stage-two tensor projection residual {resid2:.3e}")
+    _require_small_residual(mat2, c2, rhs2, "stage-two tensor projection")
 
     coeffs = c2.reshape(n2, k1, n1, k1).transpose(2, 0, 3, 1)  # -> (j1, j2, m1, m2)
     return DGFunction2D(mesh, degree, coeffs)
 
 
-def corner_flux_value(
-    u: DGFunction2D, i1: int, i2: int, theta1: float, theta2: float
-) -> float:
-    """The doubly weighted corner value at vertex (i1, i2):
-    theta-weighted combination of the four one-sided limits, weights
-    theta for the minus side and 1 - theta for the plus side in each
-    direction."""
-    k1 = u.degree + 1
-    m1, m2 = u.mesh.mesh1, u.mesh.mesh2
-    left1, right1 = _trace_vectors(m1, u.degree)
-    left2, right2 = _trace_vectors(m2, u.degree)
-    c1m, c1p = i1, (i1 + 1) % m1.n_cells
-    c2m, c2p = i2, (i2 + 1) % m2.n_cells
-    val = 0.0
-    for (cell1, tr1, wgt1) in ((c1m, right1[c1m], theta1), (c1p, left1[c1p], 1.0 - theta1)):
-        for (cell2, tr2, wgt2) in ((c2m, right2[c2m], theta2), (c2p, left2[c2p], 1.0 - theta2)):
-            val += wgt1 * wgt2 * float(tr1 @ u.coeffs[cell1, cell2] @ tr2)
-    return val
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def _weighted_trace(c: np.ndarray, mesh: Mesh1D, degree: int, theta: float) -> np.ndarray:
+    """theta * (trace from the left) + (1 - theta) * (trace from the right)
+    at every interface of mesh, for coefficients c of shape
+    (cells, modes, ...); interface j is the right end of cell j."""
+    left, right = _trace_vectors(mesh, degree)
+    return theta * np.einsum("am...,am->a...", c, right) + (1.0 - theta) * np.einsum(
+        "am...,am->a...", np.roll(c, -1, axis=0), np.roll(left, -1, axis=0)
+    )
 
 
 def tensor_projection_residuals(
@@ -239,78 +221,35 @@ def tensor_projection_residuals(
     degree = u.degree
     npts = degree + 2 if npts is None else npts
     m1, m2 = u.mesh.mesh1, u.mesh.mesh2
-    n1, n2 = u.mesh.n_cells
-    k1 = degree + 1
-
     p1, w1, phi1 = _cell_tables(m1, degree, npts)
     p2, w2, phi2 = _cell_tables(m2, degree, npts)
 
-    out = {}
+    # Volume: the quadrature is exact for the moments of u against
+    # Q^{k-1}, and those moments are u's own coefficients.
+    volume = u.coeffs - project_l2_2d(w, u.mesh, degree, npts=npts).coeffs
 
-    # Volume: <u - w, phi_m1 phi_m2> for m1, m2 <= k-1.
-    if degree >= 1:
-        uv = np.einsum("abmn,amp,bnq->abpq", u.coeffs, phi1, phi2)
-        x1 = np.broadcast_to(p1[:, None, :, None], (n1, n2, npts, npts)).reshape(-1)
-        x2 = np.broadcast_to(p2[None, :, None, :], (n1, n2, npts, npts)).reshape(-1)
-        fv = np.asarray(w(x1, x2), dtype=float).reshape(n1, n2, npts, npts)
-        defect = np.einsum(
-            "abpq,ap,bq,amp,bnq->abmn", uv - fv, w1, w2, phi1, phi2
-        )[:, :, :degree, :degree]
-        out["volume"] = float(np.abs(defect).max())
-    else:
-        out["volume"] = 0.0
+    # Edges: the weighted trace of u across every direction-a interface,
+    # a function of the other coordinate b, must match w there in P^{k-1}
+    # moments. Coefficients are ordered (cells_a, modes_a, cells_b, modes_b).
+    edge, traces = [], []
+    for coeffs, mesh_a, theta_a, wv, wb, phib in (
+        (u.coeffs.transpose(0, 2, 1, 3), m1, theta1,
+         _sample_2d(w, m1.interfaces[:, None], p2)[:, :, 0], w2, phi2),
+        (u.coeffs.transpose(1, 3, 0, 2), m2, theta2,
+         _sample_2d(w, p1, m2.interfaces[:, None])[:, :, :, 0].transpose(1, 0, 2), w1, phi1),
+    ):
+        tr = _weighted_trace(coeffs, mesh_a, degree, theta_a)  # (interfaces_a, cells_b, k+1)
+        tr_vals = np.einsum("abn,bnq->abq", tr, phib)
+        edge.append(np.einsum("abq,bq,bnq->abn", tr_vals - wv, wb, phib)[:, :, :degree])
+        traces.append(tr)
 
-    # Direction-1 edges: the theta1-weighted trace of u at interface i1,
-    # as a function of x2, must match w(x_i1, .) in P^{k-1} moments.
-    left1, right1 = _trace_vectors(m1, degree)
-    left2, right2 = _trace_vectors(m2, degree)
-    edge_max = 0.0
-    if degree >= 1:
-        # weighted trace coefficients in direction 2: (n1_interfaces, n2, k+1)
-        for (mesh_a, left_a, right_a, theta_a, swap) in (
-            (m1, left1, right1, theta1, False),
-            (m2, left2, right2, theta2, True),
-        ):
-            n_a = mesh_a.n_cells
-            coeffs = u.coeffs if not swap else u.coeffs.transpose(1, 0, 3, 2)
-            # coeffs now (cells_a, cells_b, modes_a, modes_b)
-            tr = (
-                theta_a * np.einsum("abmn,am->abn", coeffs, right_a)
-                + (1.0 - theta_a)
-                * np.einsum("abmn,am->abn", np.roll(coeffs, -1, axis=0), np.roll(left_a, -1, axis=0))
-            )
-            # moments of the trace against direction-b basis
-            mesh_b = m2 if not swap else m1
-            pb, wb, phib = _cell_tables(mesh_b, degree, npts)
-            tr_vals = np.einsum("abn,bnq->abq", tr, phib)
-            xa = mesh_a.interfaces
-            xb = pb
-            if not swap:
-                wv = np.asarray(
-                    w(
-                        np.broadcast_to(xa[:, None, None], (n_a,) + pb.shape).reshape(-1),
-                        np.broadcast_to(pb[None], (n_a,) + pb.shape).reshape(-1),
-                    ),
-                    dtype=float,
-                ).reshape((n_a,) + pb.shape)
-            else:
-                wv = np.asarray(
-                    w(
-                        np.broadcast_to(pb[None], (n_a,) + pb.shape).reshape(-1),
-                        np.broadcast_to(xa[:, None, None], (n_a,) + pb.shape).reshape(-1),
-                    ),
-                    dtype=float,
-                ).reshape((n_a,) + pb.shape)
-            defect = np.einsum("abq,bq,bnq->abn", tr_vals - wv, wb, phib)[:, :, :degree]
-            edge_max = max(edge_max, float(np.abs(defect).max()))
-    out["edge"] = edge_max
-
-    # Corners: the doubly weighted value must equal w at every vertex.
-    corner_max = 0.0
-    for i1 in range(n1):
-        for i2 in range(n2):
-            val = corner_flux_value(u, i1, i2, theta1, theta2)
-            exact = float(w(np.array([m1.interfaces[i1]]), np.array([m2.interfaces[i2]]))[0])
-            corner_max = max(corner_max, abs(val - exact))
-    out["corner"] = corner_max
-    return out
+    # Corners: the direction-2 weighted trace of the direction-1 trace is
+    # the doubly weighted vertex value, which must equal w there.
+    corner = _weighted_trace(traces[0].transpose(1, 2, 0), m2, degree, theta2).T - _sample_2d(
+        w, m1.interfaces[:, None], m2.interfaces[:, None]
+    )[:, :, 0, 0]
+    return {
+        "volume": _max_abs(volume[:, :, :degree, :degree]),
+        "edge": max(_max_abs(d) for d in edge),
+        "corner": _max_abs(corner),
+    }

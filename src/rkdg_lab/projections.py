@@ -119,6 +119,13 @@ def pi_theta_system(mesh: Mesh1D, degree: int, theta: float):
     return mat, lu
 
 
+def _require_small_residual(mat, x: np.ndarray, rhs: np.ndarray, what: str) -> None:
+    """Refuse a solve of mat x = rhs whose residual exceeds 1e-10 |rhs|."""
+    resid = np.linalg.norm(mat @ x - rhs)
+    if resid > 1e-10 * max(np.linalg.norm(rhs), 1e-300):
+        raise NumericalError(f"{what} residual {resid:.3e} exceeds 1e-10 * |rhs|")
+
+
 def pi_theta_rhs(moments: np.ndarray, interface_values: np.ndarray, degree: int) -> np.ndarray:
     """Pack per-cell moments (n_cells, >= degree) and per-interface data
     into the right-hand-side layout of pi_theta_system."""
@@ -157,11 +164,7 @@ def pi_theta(
     w_at = np.asarray(w(mesh.interfaces), dtype=float)
     rhs = pi_theta_rhs(moments, w_at, degree)
     x = lu.solve(rhs)
-    resid = np.linalg.norm(mat @ x - rhs)
-    if resid > 1e-10 * max(np.linalg.norm(rhs), 1e-300):
-        raise NumericalError(
-            f"flux-matching projection solve left residual {resid:.3e}"
-        )
+    _require_small_residual(mat, x, rhs, "flux-matching projection")
     return DGFunction.from_vector(mesh, degree, x)
 
 
@@ -227,12 +230,7 @@ def d_theta_inverse_apply(theta: float, z: MeanZeroFunction) -> MeanZeroFunction
     rhs[:n] = u.vector
     sol = lu.solve(rhs)
     x = sol[:n]
-    znorm = max(np.linalg.norm(rhs[:n]), 1e-300)
-    resid = np.linalg.norm(a @ x - rhs[:n])
-    if resid > 1e-10 * znorm:
-        raise NumericalError(
-            f"derivative inverse residual {resid:.3e} exceeds 1e-10 * |z|"
-        )
+    _require_small_residual(a, x, rhs[:n], "derivative inverse")
     result = DGFunction.from_vector(u.mesh, u.degree, x)
     mean_resid = abs(result.integral())
     if mean_resid > 1e-11 * max(np.linalg.norm(x), 1e-300):

@@ -56,6 +56,16 @@ def wavenumbers(n_max: int) -> np.ndarray:
     return np.arange(-n_max, n_max + 1)
 
 
+def _grid_values(f: Callable, n_pts: int, dim: int) -> np.ndarray:
+    """f on the uniform n_pts^dim grid of [0, 2pi)^dim, shape
+    (n_pts,)*dim + (components,). f takes one flat coordinate array per
+    direction; a plain flat return is read as a single component."""
+    x = 2.0 * np.pi * np.arange(n_pts) / n_pts
+    grids = np.meshgrid(*[x] * dim, indexing="ij")
+    vals = np.asarray(f(*(g.reshape(-1) for g in grids)), dtype=complex)
+    return vals.reshape((n_pts,) * dim + (-1,))
+
+
 def fourier_truncate(
     f: Callable,
     n_max: int,
@@ -76,25 +86,10 @@ def fourier_truncate(
     n_pts = (4 * n_max + 5) if n_samples is None else n_samples
     if n_pts < 2 * n_max + 1:
         raise ValueError("need at least 2*n_max + 1 samples per direction")
-    x = 2.0 * np.pi * np.arange(n_pts) / n_pts
-    if dim == 1:
-        vals = np.asarray(f(x), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        spec = np.fft.fft(vals, axis=0) / n_pts
-        idx = np.arange(-n_max, n_max + 1) % n_pts
-        coeffs = spec[idx]
-    else:
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        vals = np.asarray(f(xx.reshape(-1), yy.reshape(-1)), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        m = vals.shape[-1]
-        vals = vals.reshape(n_pts, n_pts, m)
-        spec = np.fft.fft2(vals, axes=(0, 1)) / n_pts**2
-        idx = np.arange(-n_max, n_max + 1) % n_pts
-        coeffs = spec[np.ix_(idx, idx)]
-    return FourierFunction(n_max, dim, coeffs)
+    vals = _grid_values(f, n_pts, dim)
+    spec = np.fft.fftn(vals, axes=tuple(range(dim))) / n_pts**dim
+    idx = wavenumbers(n_max) % n_pts
+    return FourierFunction(n_max, dim, spec[np.ix_(*[idx] * dim)])
 
 
 def evaluate_on_grid(u: FourierFunction, n_pts: int) -> np.ndarray:
@@ -102,15 +97,10 @@ def evaluate_on_grid(u: FourierFunction, n_pts: int) -> np.ndarray:
     (exact synthesis, no aliasing). Shape (n_pts,)*dim + (m,)."""
     if n_pts < 2 * u.n_max + 1:
         raise ValueError("grid too coarse to hold the spectrum")
-    m = u.n_components
-    k = wavenumbers(u.n_max)
-    if u.dim == 1:
-        spec = np.zeros((n_pts, m), dtype=complex)
-        spec[k % n_pts] = u.coeffs
-        return np.fft.ifft(spec, axis=0) * n_pts
-    spec = np.zeros((n_pts, n_pts, m), dtype=complex)
-    spec[np.ix_(k % n_pts, k % n_pts)] = u.coeffs
-    return np.fft.ifft2(spec, axes=(0, 1)) * n_pts**2
+    spec = np.zeros((n_pts,) * u.dim + (u.n_components,), dtype=complex)
+    idx = wavenumbers(u.n_max) % n_pts
+    spec[np.ix_(*[idx] * u.dim)] = u.coeffs
+    return np.fft.ifftn(spec, axes=tuple(range(u.dim))) * n_pts**u.dim
 
 
 def grid_l2_error(u: FourierFunction, exact: Callable, n_pts: int | None = None) -> float:
@@ -118,19 +108,8 @@ def grid_l2_error(u: FourierFunction, exact: Callable, n_pts: int | None = None)
     grid (spectrally accurate for smooth periodic integrands)."""
     n_pts = max(128, 4 * u.n_max + 9) if n_pts is None else n_pts
     vals = evaluate_on_grid(u, n_pts)
-    x = 2.0 * np.pi * np.arange(n_pts) / n_pts
-    if u.dim == 1:
-        ev = np.asarray(exact(x), dtype=complex)
-        if ev.ndim == 1:
-            ev = ev[:, None]
-        cell = 2.0 * np.pi / n_pts
-    else:
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        ev = np.asarray(exact(xx.reshape(-1), yy.reshape(-1)), dtype=complex)
-        if ev.ndim == 1:
-            ev = ev[:, None]
-        ev = ev.reshape(n_pts, n_pts, -1)
-        cell = (2.0 * np.pi / n_pts) ** 2
+    ev = _grid_values(exact, n_pts, u.dim)
+    cell = (2.0 * np.pi / n_pts) ** u.dim
     return float(np.sqrt(cell * np.sum(np.abs(vals - ev) ** 2)))
 
 
@@ -161,14 +140,11 @@ class SymbolOperator:
                 raise ValueError("coefficient matrices must be symmetric")
         object.__setattr__(self, "a_matrices", mats)
         k = wavenumbers(self.n_max).astype(float)
-        if self.dim == 1:
-            sym = -1j * k[:, None, None] * mats[0][None]
-        else:
-            kk1, kk2 = np.meshgrid(k, k, indexing="ij")
-            sym = -1j * (
-                kk1[:, :, None, None] * mats[0][None, None]
-                + kk2[:, :, None, None] * mats[1][None, None]
-            )
+        grids = np.meshgrid(*[k] * self.dim, indexing="ij")
+        sym = grids[0][..., None, None] * mats[0]
+        for kk, a in zip(grids[1:], mats[1:]):
+            sym = sym + kk[..., None, None] * a
+        sym = -1j * sym
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
 

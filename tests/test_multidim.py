@@ -120,3 +120,28 @@ def test_tensor_projection_residuals_sit_at_solver_precision():
         res = tensor_projection_residuals(u, target, 1.0, 0.75, npts=k + 4)
         assert set(res) == {"volume", "edge", "corner"}
         assert max(res.values()) <= 1e-10
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_tensor_projection_residuals_detect_each_broken_condition(degree):
+    """Perturbing one coefficient of the projection breaks the conditions
+    that coefficient enters: mode (0, 0) a volume moment, modes (0, k)
+    and (k, 0) the edge moments and corner values but no volume moment,
+    and mode (k, k) the corner values alone."""
+    target = lambda x1, x2: np.sin(x1 + 2.0 * x2) + 0.4 * np.cos(x2)
+    mesh2 = Mesh2D.uniform(6, 5)
+    u = pi_tensor_2d(target, mesh2, degree, 1.0, 0.75)
+
+    def residuals_after_bump(mode):
+        coeffs = u.coeffs.copy()
+        coeffs[2, 3][mode] += 1e-3
+        return tensor_projection_residuals(DGFunction2D(mesh2, degree, coeffs), target, 1.0, 0.75)
+
+    assert residuals_after_bump((0, 0))["volume"] > 1e-4
+    for mode in ((0, degree), (degree, 0)):
+        res = residuals_after_bump(mode)
+        assert res["edge"] > 1e-4 and res["corner"] > 1e-4
+        assert res["volume"] <= 1e-10
+    res = residuals_after_bump((degree, degree))
+    assert res["corner"] > 1e-4
+    assert res["volume"] <= 1e-10 and res["edge"] <= 1e-10

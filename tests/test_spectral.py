@@ -157,3 +157,41 @@ def test_apply_symbol_checks_mode_sets():
     )
     w = apply_symbol(op, v)
     assert w.n_max == 6 and w.coeffs.shape == (13, 2)
+
+
+def test_symbol_operator_uses_every_coefficient_matrix():
+    """At dim 3 the symbol of mode (k1, k2, k3) is -i (k1 A1 + k2 A2 + k3 A3)."""
+    a1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a2 = np.array([[1.0, 0.0], [0.0, -1.0]])
+    a3 = np.array([[2.0, 0.5], [0.5, 3.0]])
+    op = SymbolOperator(n_max=2, dim=3, a_matrices=(a1, a2, a3))
+    assert op.symbols.shape == (5, 5, 5, 2, 2)
+    k = wavenumbers(2)
+    for i1, k1 in enumerate(k):
+        for i2, k2 in enumerate(k):
+            for i3, k3 in enumerate(k):
+                ref = -1j * (k1 * a1 + k2 * a2 + k3 * a3)
+                np.testing.assert_allclose(op.symbols[i1, i2, i3], ref, atol=1e-14)
+
+
+def test_two_dimensional_truncation_synthesis_and_error():
+    """f = sin(x1 + 2 x2) + 0.4 cos(x2) has four nonzero modes: -i/2 at
+    (1, 2), i/2 at (-1, -2) and 0.2 at (0, +-1)."""
+
+    def f(x1, x2):
+        return np.sin(x1 + 2.0 * x2) + 0.4 * np.cos(x2)
+
+    u = fourier_truncate(f, 3, dim=2)
+    assert u.coeffs.shape == (7, 7, 1)
+    ref = np.zeros((7, 7), dtype=complex)
+    ref[3 + 1, 3 + 2] = -0.5j
+    ref[3 - 1, 3 - 2] = 0.5j
+    ref[3, 3 + 1] = ref[3, 3 - 1] = 0.2
+    np.testing.assert_allclose(u.coeffs[..., 0], ref, rtol=0, atol=1e-14)
+
+    x = 2.0 * np.pi * np.arange(16) / 16
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    vals = evaluate_on_grid(u, 16)
+    assert vals.shape == (16, 16, 1)
+    np.testing.assert_allclose(vals[..., 0], f(xx, yy), rtol=0, atol=1e-13)
+    assert grid_l2_error(u, f) < 1e-13
