@@ -107,6 +107,29 @@ class LinearOperator:
         symbols.setflags(write=False)
         return symbols
 
+    def apply_modes(self, per_mode: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The operator whose mode-k block is per_mode[k], applied to v.
+
+        per_mode has the shape of `symbols` (per_mode = symbols applies L
+        itself, expm(t * symbols) applies exp(tL)). v, of shape (n,) or
+        (n, ...), goes to its mode coefficients by a unitary inverse FFT
+        over the layout's cell axes, each mode is multiplied by its
+        matrix, and a unitary FFT brings it back. The result is real for
+        a real v: per_mode must then come from a real operator, whose
+        modes k and -k are conjugate.
+        """
+        if self.symbols is None:
+            raise ValueError("the operator has no per-mode form")
+        shape, cell_axes = self.layout
+        front = tuple(range(len(cell_axes)))
+        x = np.fft.ifftn(v.reshape(shape + v.shape[1:]), axes=cell_axes, norm="ortho")
+        x = np.moveaxis(x, cell_axes, front)
+        moved = x.shape
+        x = np.matmul(per_mode, x.reshape(per_mode.shape[:2] + (-1,)))
+        x = np.moveaxis(x.reshape(moved), front, cell_axes)
+        out = np.fft.fftn(x, axes=cell_axes, norm="ortho").reshape(v.shape)
+        return out if np.iscomplexobj(v) else out.real
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.mat @ v
 

@@ -442,7 +442,7 @@ def build_problem(
             return f
 
         def prepare(t: float = 0.0):
-            return fourier_truncate(stacked(t), n, dim=1, n_components=len(comps)).coeffs
+            return fourier_truncate(stacked(t), n, dim=1).coeffs
 
         def error(state, t: float):
             u = FourierFunction(n, 1, np.asarray(state))
@@ -690,7 +690,8 @@ def _gate_mu(problem: Problem, mu: float, op_norm: float) -> None:
 class _Level(NamedTuple):
     """problems[k] marched from state0 by tau. label names the level in
     flags and errors, scale is what its error is fitted against, and extra
-    opens the level's report extra."""
+    opens the level's report extra. An error less than 10x floor, the
+    level's rounding floor when its plan estimates one, is flagged."""
 
     k: int
     state0: Any
@@ -698,6 +699,7 @@ class _Level(NamedTuple):
     label: str
     scale: float
     extra: Mapping
+    floor: float = 0.0
 
 
 def _spatial_plan(config, scheme, budget, defect, problems, norms) -> tuple:
@@ -736,18 +738,25 @@ def _temporal_plan(config, scheme, budget, defect, problems, norms) -> tuple:
     The fully discrete error splits into a spatial and a temporal part. A
     level's error is the temporal part |R(tau L)^N u_h(0) - exp(tL) u_h(0)|,
     what is fitted; the spatial part |u(t) - exp(tL) u_h(0)| does not
-    depend on tau and is reported once, as meta.spatial_error."""
+    depend on tau and is reported once, as meta.spatial_error.
+
+    A level's rounding floor is the larger of the reference's own error,
+    about reference_gap * |exp(tL) u_h(0)|, and Horner's per-step rounding
+    over its N steps, about sqrt(N) eps |u_h(0)|."""
     (problem,), (nrm,) = problems, norms
     t_final = config["time"]["t_final"]
     state0 = problem.prepare(0.0)
     reference, reference_gap = expm_reference(problem.op, t_final, state0)
+    reference_floor = reference_gap * float(np.linalg.norm(reference))
+    step_floor = np.finfo(float).eps * float(np.linalg.norm(state0))
 
     def measure(problem: Problem, state) -> tuple:
         err = float(np.linalg.norm(np.asarray(state) - reference))
         return err, {"semidiscrete_gap": err}
 
     levels = [_Level(0, state0, tau, f"tau={tau:.3e}", tau,
-                     {"amplification": float(amplification_norm(problem.op, scheme, tau))})
+                     {"amplification": float(amplification_norm(problem.op, scheme, tau))},
+                     max(reference_floor, math.sqrt(round(t_final / tau)) * step_floor))
               for tau in _temporal_taus(config["time"])]
     flags = [f"amplification {lv.extra['amplification']:.6f} at tau {lv.tau:.3e}"
              for lv in levels if lv.extra["amplification"] > 1 + 1e-3]
@@ -855,6 +864,9 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
         for lv, result in zip(planned, levels):
             if not math.isfinite(result.error):
                 raise NumericalError(f"level {lv.label} has a non-finite error ({result.error})")
+        flags += [f"level {lv.label}: error {result.error:.3e} is within 10x of its "
+                  f"rounding floor {lv.floor:.3e}"
+                  for lv, result in zip(planned, levels) if result.error < 10 * lv.floor]
         fit = fit_semilog if config["scheme"]["family"] == "spectral" else fit_loglog
         fitted, pairwise = fit([lv.scale for lv in levels], [lv.error for lv in levels])
         assertions, passed = _assert_rates(config["report"], fitted)
@@ -1182,21 +1194,22 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
             _fail("grid.perturbation", "only meaningful when grid.mesh is 'perturbed'")
         del grid["perturbation"]
 
-    # One cap for the dense-only measurements: a temporal study's reference
-    # exp(tL) u(0), which comes from a dense matrix exponential, and
-    # |R(tau L)| on a perturbed mesh, which has no symbols and whose singular
-    # values cluster at 1, out of a Krylov method's reach.
+    # One cap for the dense-only measurements off uniform meshes, where the
+    # operator has no symbols: |R(tau L)|, whose singular values cluster at
+    # 1, out of a Krylov method's reach, and the dense exp(tL) that checks
+    # a temporal study's reference.
     if study == "temporal" and family == "spectral":
         _fail("scheme.family", "temporal studies need a matrix operator; spectral is spatial-only")
-    if study == "temporal" or (study == "stability" and grid["mesh"] == "perturbed"):
+    if study != "spatial" and grid["mesh"] == "perturbed":
         n, k1 = grid["n"], scheme["degree"] + 1
         n_fields = 2 if family in ("wave", "conserving_pair", "central") else 1
-        dofs = (n * k1) ** 2 if family == "advection2d" else n_fields * n * k1
+        dofs = n_fields * n * k1
         if dofs > DENSE_LIMIT:
-            what = ("temporal studies compare against a dense matrix exponential"
-                    if study == "temporal" else
-                    "stability scans on perturbed meshes measure |R(tau L)| densely")
-            _fail("grid.n", f"{what}; {dofs} unknowns exceed the {DENSE_LIMIT} limit")
+            what = "temporal studies" if study == "temporal" else "stability scans"
+            _fail("grid.n", (
+                f"{what} on perturbed meshes measure |R(tau L)| densely; "
+                f"{dofs} unknowns exceed the {DENSE_LIMIT} limit"
+            ))
 
     time = out["time"] = _section("time", out["time"], _TIME[study])
     if study == "spatial" and family == "spectral" and "tau" not in time:

@@ -70,7 +70,6 @@ def fourier_truncate(
     f: Callable,
     n_max: int,
     dim: int = 1,
-    n_components: int = 1,
     n_samples: int | None = None,
 ) -> FourierFunction:
     """Coefficients a_k for |k_i| <= n_max by FFT on a uniform grid.
@@ -78,8 +77,8 @@ def fourier_truncate(
     The default grid has 4 n_max + 5 points per direction, so the result
     is alias-free for band-limited data up to 3 n_max + 4 and the
     aliasing floor for smooth data sits far below the truncation error.
-    f maps coordinate arrays to shape (..., n_components) (a plain (...)
-    return is accepted for a single component).
+    f maps coordinate arrays to shape (..., m) for m components (a plain
+    (...) return is read as a single component).
     """
     if dim not in (1, 2):
         raise ValueError("only dim 1 and 2 are supported")

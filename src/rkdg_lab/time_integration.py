@@ -43,9 +43,10 @@ from .core_fem import NumericalError
 from .dg_ops1d import LinearOperator, _mode_stack, operator_norm
 from .spectral import SymbolOperator
 
-#: Unknowns up to which `amplification_norm` forms a dense R(tau L) (for
-#: operators without symbols) and `expm_reference` a dense exp(tL). Krylov
-#: cannot replace the former: the singular values of R(tau L) cluster at 1.
+#: Unknowns up to which the operators without symbols (perturbed meshes,
+#: bare matrices) are measured densely: R(tau L) in `amplification_norm`,
+#: which Krylov cannot replace since its singular values cluster at 1, and
+#: the exp(tL) that checks `expm_reference`.
 DENSE_LIMIT = 2000
 
 
@@ -497,25 +498,43 @@ def amplification_norm(op, scheme: RKScheme, tau: float) -> float:
     return float(np.linalg.norm(r, 2, axis=(-2, -1)).max())
 
 
-def expm_reference(op, t: float, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp(tL) v from the dense matrix exponential, cross-checked by
-    `expm_multiply`, and the relative gap between the two.
+def _expm_multiply(a, v: np.ndarray) -> np.ndarray:
+    """scipy's expm_multiply(a, v) on a fixed seed of numpy's global RNG,
+    from which its onenormest draws, with the caller's state restored:
+    bitwise the same on every call."""
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(a, v)
+    finally:
+        np.random.set_state(state)
 
-    The reference is `scipy.linalg.expm(t * dense) @ v`. The check is
-    scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham) on the explicit
-    matrix, a different algorithm: a semigroup check with expm(tL/2)
-    cannot disagree, since scaling and squaring builds expm(tL) from the
-    same Pade factor. A gap |check - ref| / |ref| above 1e-9 raises
-    NumericalError. Refused above DENSE_LIMIT unknowns.
+
+def expm_reference(op, t: float, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(tL) v from `expm_multiply`, cross-checked by an independent
+    evaluation, and the relative gap between the two.
+
+    The reference is scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham)
+    on the sparse matrix, or on the array itself. An operator with
+    symbols (a LinearOperator on a uniform periodic mesh) is checked mode
+    by mode: one batched `scipy.linalg.expm(t * symbols)` applied through
+    LinearOperator.apply_modes. Any other operator is checked against the
+    dense `scipy.linalg.expm(t * dense) @ v`, refused above DENSE_LIMIT
+    unknowns. A gap |check - ref| / |ref| above 1e-9 raises
+    NumericalError.
     """
-    dense = _dense(op, "the reference exponential")
-    ref = scipy.linalg.expm(t * dense) @ v
+    symbols = getattr(op, "symbols", None)
+    if symbols is not None:
+        check = op.apply_modes(scipy.linalg.expm(t * symbols), v)
+    else:
+        check = scipy.linalg.expm(t * _dense(op, "the reference exponential's check")) @ v
     mat = op.mat if isinstance(op, LinearOperator) else op
-    check = expm_multiply(t * (mat if sp.issparse(mat) else dense), v)
+    ref = _expm_multiply(t * mat, v)
     gap = float(np.linalg.norm(check - ref) / max(np.linalg.norm(ref), 1e-300))
     if gap > 1e-9:
+        check_kind = "dense" if symbols is None else "per-mode"
         raise NumericalError(
-            f"matrix exponential disagrees with expm_multiply: relative gap {gap:.3e}"
+            f"the {check_kind} exponential disagrees with expm_multiply: relative gap {gap:.3e}"
         )
     return ref, gap
 

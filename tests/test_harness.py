@@ -195,18 +195,37 @@ def test_validate_pins_solution_parameters(tiny_advection_config):
     assert "scheme.beta" in str(err.value)
 
 
-def test_validate_temporal_dense_reference_cap():
-    doc = {
+def _temporal_ldg3_n600(**grid):
+    """LDG k=3 on 600 cells, 2,400 unknowns, past DENSE_LIMIT."""
+    return {
         "schema": "rkdg-lab-config/1",
         "study": "temporal",
         "solution": "advection_sin",
         "scheme": {"family": "ldg", "degree": 3},
-        "grid": {"n": 600},
-        "time": {"integrator": "taylor2", "tau0": 0.01},
+        "grid": {"n": 600, **grid},
+        "time": {"integrator": "taylor3", "tau0": 2e-4, "t_final": 0.02, "halvings": 2},
     }
-    with pytest.raises(ConfigError) as err:
-        validate_config(doc)
-    assert "grid.n" in str(err.value)
+
+
+def test_uniform_temporal_study_above_the_dense_limit_runs():
+    """A uniform mesh needs nothing dense: the reference comes from
+    expm_multiply, checked mode by mode, and |R(tau L)| from the symbols.
+    Its errors sit at rounding, so it asserts no rate, and every level
+    carries the rounding-floor flag."""
+    result = run_study(_temporal_ldg3_n600())
+    assert [lv.n_dofs for lv in result.levels] == [2400] * 3
+    assert result.meta["reference_gap"] < 1e-12
+    assert all(0.0 < lv.error < 1e-12 for lv in result.levels)
+    assert [f.split(":")[0] for f in result.flags if "rounding floor" in f] == [
+        f"level tau={lv.tau:.3e}" for lv in result.levels
+    ]
+
+
+def test_perturbed_temporal_study_above_the_dense_limit_is_refused():
+    """A perturbed mesh has no symbols, so |R(tau L)| stays dense and capped."""
+    with pytest.raises(ConfigError, match="grid.n") as err:
+        validate_config(_temporal_ldg3_n600(mesh="perturbed", perturbation=0.3))
+    assert "2400 unknowns exceed the 2000 limit" in str(err.value)
 
 
 def _tiny_temporal(**time):
@@ -457,6 +476,20 @@ def test_temporal_errors_split_the_fully_discrete_error():
         state = evolve(problem.op, problem.prepare(0.0), lv.tau, t_final, scheme).state
         full = problem.error(state, t_final)[0]
         assert abs(s - lv.error) - 1e-15 <= full <= s + lv.error + 1e-15
+
+
+def _floor_flags(name: str) -> list:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
+    return [f for f in run_study(load_config(path)).flags if "rounding floor" in f]
+
+
+def test_temporal_floor_flag_marks_a_level_at_rounding():
+    """semidiscrete_rk4's finest level (640 steps) sits within 10x of the
+    larger of reference_gap * |exp(tL) u_h(0)| and sqrt(N) eps |u_h(0)|;
+    no level of semidiscrete_taylor3 comes near it."""
+    (flag,) = _floor_flags("semidiscrete_rk4")
+    assert flag.startswith("level tau=1.563e-03: error 9.80")
+    assert _floor_flags("semidiscrete_taylor3") == []
 
 
 def test_run_study_warns_at_its_caller(tiny_advection_config):

@@ -19,11 +19,14 @@ from scipy.sparse.linalg import expm_multiply
 from rkdg_lab import (
     LinearOperator,
     Mesh1D,
+    Mesh2D,
     NumericalError,
     RKScheme,
     StabilityWarning,
     SymbolOperator,
     amplification_norm,
+    assemble_advection_2d,
+    assemble_central_advection,
     assemble_high_order_lh,
     assemble_ultraweak_third,
     assemble_wave_alphabeta,
@@ -42,6 +45,7 @@ from rkdg_lab import (
     two_step_rk4,
     validate_config,
 )
+from rkdg_lab import time_integration
 from conftest import VARIANTS, build_variant, dense_norm
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -468,20 +472,33 @@ def rk4_reference():
     return problem.op, problem.prepare(0.0), config["time"]["t_final"]
 
 
-def test_expm_reference_is_the_dense_exponential(rk4_reference):
+def test_expm_reference_agrees_with_the_dense_exponential(rk4_reference):
+    """The sparse expm_multiply reference sits within 1e-13 relative of
+    the dense matrix exponential, kept as the oracle at 192 dofs."""
     op, u0, t = rk4_reference
     ref, gap = expm_reference(op, t, u0)
-    assert np.array_equal(ref, scipy.linalg.expm(t * op.mat.toarray()) @ u0)
+    dense = scipy.linalg.expm(t * op.mat.toarray()) @ u0
+    assert np.linalg.norm(ref - dense) <= 1e-13 * np.linalg.norm(dense)
     assert 0.0 < gap < 1e-13
 
 
 def test_expm_reference_catches_a_wrong_exponential(rk4_reference, monkeypatch):
-    """A dense expm off by 0.1% in its argument: a semigroup self-check
-    (expm(tL/2) squared against expm(tL)) sees defect 0.0 here, since both
-    come from the same wrong routine; expm_multiply does not."""
+    """The per-mode check's batched expm off by 0.1% in its argument: a
+    semigroup self-check (expm(tL/2) squared against expm(tL)) would see
+    no defect, since both come from the same wrong routine; the
+    expm_multiply reference does."""
     op, u0, t = rk4_reference
     dense_expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: dense_expm(1.001 * a))
+    with pytest.raises(NumericalError, match="disagrees with expm_multiply"):
+        expm_reference(op, t, u0)
+
+
+def test_expm_reference_catches_a_wrong_expm_multiply(rk4_reference, monkeypatch):
+    """expm_multiply off by 0.1% in its argument: the per-mode check
+    refuses the reference."""
+    op, u0, t = rk4_reference
+    monkeypatch.setattr(time_integration, "expm_multiply", lambda a, v: expm_multiply(1.001 * a, v))
     with pytest.raises(NumericalError, match="disagrees with expm_multiply"):
         expm_reference(op, t, u0)
 
@@ -528,15 +545,38 @@ def exact_expm_apply(mat, n_cells, t, v):
 
 
 def test_expm_reference_and_its_check_against_mpmath(rk4_reference):
-    """Both the dense reference and the expm_multiply cross-check sit within
+    """Both the expm_multiply reference and its per-mode check sit within
     1e-13 relative of a 40-digit oracle at semidiscrete_rk4's 192 dofs."""
     op, u0, t = rk4_reference
     (_, n_cells, _), _ = op.layout
     exact = exact_expm_apply(op.mat, n_cells, t, u0)
     ref, _ = expm_reference(op, t, u0)
-    check = expm_multiply(t * op.mat, u0)
+    check = op.apply_modes(scipy.linalg.expm(t * op.symbols), u0)
     for got in (ref, check):
         assert np.linalg.norm(got - exact) <= 1e-13 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("assemble", [
+    lambda: assemble_wave_alphabeta(Mesh1D.uniform(12), 2, 0.3, -0.2, -0.2),
+    lambda: assemble_central_advection(Mesh1D.uniform(12), 2, 0.05)[0],
+    lambda: assemble_advection_2d(Mesh2D.uniform(6, 5), 1, 1.0, 1.0),
+], ids=["wave", "central", "advection2d"])
+def test_per_mode_exponential_matches_the_dense_one(assemble):
+    """On two-field and 2D layouts, the per-mode exponential that checks
+    expm_reference agrees with the dense oracle, and apply_modes with the
+    symbols themselves is the matrix product."""
+    op = assemble()
+    v = np.random.default_rng(5).standard_normal(op.n)
+    t = 5.0 / operator_norm(op)
+    assert np.linalg.norm(op.apply_modes(op.symbols, v) - op.mat @ v) <= (
+        1e-14 * np.linalg.norm(op.mat @ v)
+    )
+    dense = scipy.linalg.expm(t * op.mat.toarray()) @ v
+    check = op.apply_modes(scipy.linalg.expm(t * op.symbols), v)
+    assert np.linalg.norm(check - dense) <= 1e-13 * np.linalg.norm(dense)
+    ref, gap = expm_reference(op, t, v)
+    assert np.linalg.norm(ref - dense) <= 1e-13 * np.linalg.norm(dense)
+    assert gap < 1e-13
 
 
 def test_amplification_norm_on_skew_operator():
