@@ -136,18 +136,6 @@ class LinearOperator:
     def dense(self) -> np.ndarray:
         return self.mat.toarray()
 
-    def transpose(self) -> "LinearOperator":
-        return LinearOperator(self.mat.T.tocsr(), label=self.label + "^T", layout=self.layout)
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        layout = self.layout if self.layout == other.layout else None
-        return LinearOperator(
-            self.mat @ other.mat, label=f"{self.label}*{other.label}", layout=layout
-        )
-
-    def scaled(self, c: float) -> "LinearOperator":
-        return LinearOperator(self.mat * float(c), label=self.label, layout=self.layout)
-
 
 def cell_layout(fields: int, n_cells: int, degree: int) -> tuple:
     """Layout of field-major, cell-major 1D coefficient vectors."""
@@ -355,9 +343,10 @@ def assemble_ultraweak_third(mesh: Mesh1D, degree: int) -> LinearOperator:
 
 
 def spectrum_method(op) -> str:
-    """How |L| and mu of op are measured: "modes" (exact, per mode) when
-    it has symbols, "krylov" (one ARPACK call each) otherwise."""
-    return "modes" if getattr(op, "symbols", None) is not None else "krylov"
+    """How |L| and mu of op, a LinearOperator or a SymbolOperator, are
+    measured: "modes" (exact, per mode) when it has symbols, "krylov"
+    (one ARPACK call each on its matrix) otherwise."""
+    return "modes" if op.symbols is not None else "krylov"
 
 
 def _arpack(what: str, solve, n: int) -> float:
@@ -383,9 +372,8 @@ def semiboundedness_mu(op) -> float:
     Without the shift a dissipative operator's top eigenvalue sits in a
     degenerate cluster at zero, where ARPACK's relative stopping test
     cannot settle."""
-    symbols = getattr(op, "symbols", None)
-    if symbols is not None:
-        stack = _mode_stack(symbols)
+    if op.symbols is not None:
+        stack = _mode_stack(op.symbols)
         herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
         return float(np.max(np.linalg.eigvalsh(herm)))
     sym = (0.5 * (op.mat + op.mat.T)).tocsr()
@@ -406,16 +394,14 @@ def operator_norm(op) -> float:
     uniform periodic mesh) gives the exact maximum over its per-mode
     singular values. Otherwise it is ARPACK's largest singular value.
     """
-    symbols = getattr(op, "symbols", None)
-    if symbols is not None:
-        return float(_mode_norms(symbols).max())
-    mat = op.mat if isinstance(op, LinearOperator) else sp.csr_matrix(op)
-    if mat.count_nonzero() == 0:
+    if op.symbols is not None:
+        return float(_mode_norms(op.symbols).max())
+    if op.mat.count_nonzero() == 0:
         return 0.0  # ARPACK refuses a start vector the operator maps to zero
     return _arpack(
         "the largest singular value",
-        lambda v0: svds(mat, k=1, solver="arpack", return_singular_vectors=False, v0=v0),
-        mat.shape[0],
+        lambda v0: svds(op.mat, k=1, solver="arpack", return_singular_vectors=False, v0=v0),
+        op.n,
     )
 
 

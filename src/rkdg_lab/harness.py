@@ -742,7 +742,11 @@ def _temporal_plan(config, scheme, budget, defect, problems, norms) -> tuple:
 
     A level's rounding floor is the larger of the reference's own error,
     about reference_gap * |exp(tL) u_h(0)|, and Horner's per-step rounding
-    over its N steps, about sqrt(N) eps |u_h(0)|."""
+    over its N steps, about sqrt(N) eps |u_h(0)|. reference_gap bounds the
+    errors of the reference and its check together: at 1,600 dofs (LDG
+    k=3, n=400, t=1) it is 2.0e-12, all of it the per-mode check's, while
+    expm_multiply is 1.9e-14 from dense. There the floor sits about 100x
+    above the reference's own error, and its flag can be a false alarm."""
     (problem,), (nrm,) = problems, norms
     t_final = config["time"]["t_final"]
     state0 = problem.prepare(0.0)
@@ -841,9 +845,7 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
         planned, measure, meta, plan_flags = (_temporal_plan if temporal else _spatial_plan)(
             config, scheme, budget, defect, problems, norms
         )
-        violations = check_cfl([lv.tau for lv in planned], [norms[lv.k] for lv in planned],
-                               budget, strict_cfl)
-        flags = [f"level {lv.label}: {msg}" for lv, msg in zip(planned, violations) if msg]
+        flags = check_cfl([(lv.label, lv.tau, norms[lv.k]) for lv in planned], budget, strict_cfl)
         flags += plan_flags
         marched = evolve_levels(
             [problems[lv.k].op for lv in planned], [lv.state0 for lv in planned],

@@ -17,9 +17,12 @@ batched matmul of the stacked mode matrices), scaled row by row by each
 level's step length. Every state is bitwise the one plain Horner with
 `tau * (L @ v)` gives on the level alone, without the per-product
 scipy.sparse dispatch and without one Python loop per level; `evolve` is
-the batch of one. L and tau are never folded into a precomputed
-R(tau L): a rounded R applied N times drifts by about N eps, Horner's
-per-step rounding by about sqrt(N) eps.
+the batch of one. A level is a LinearOperator on a real vector or a
+SymbolOperator on its complex mode coefficients. L and tau are never
+folded into a precomputed R(tau L): a rounded R applied N times drifts
+by about N eps, Horner's per-step rounding by about sqrt(N) eps. Steps
+are checked against the stability budget by `run_study` (`check_cfl`),
+not by the march.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 # The kernel behind `csr_matrix @ vector` (scipy's _matmul_vector calls it
@@ -40,11 +42,11 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .core_fem import NumericalError
-from .dg_ops1d import LinearOperator, _mode_stack, operator_norm
+from .dg_ops1d import LinearOperator, _mode_stack
 from .spectral import SymbolOperator
 
-#: Unknowns up to which the operators without symbols (perturbed meshes,
-#: bare matrices) are measured densely: R(tau L) in `amplification_norm`,
+#: Unknowns up to which the operators without symbols (perturbed meshes)
+#: are measured densely: R(tau L) in `amplification_norm`,
 #: which Krylov cannot replace since its singular values cluster at 1, and
 #: the exp(tL) that checks `expm_reference`.
 DENSE_LIMIT = 2000
@@ -173,26 +175,20 @@ def resolve_scheme(spec) -> RKScheme:
 
 
 def _stack_kind(op, u: np.ndarray):
-    """What the level (op, u) stacks with: "csr" for a real square CSR
-    matrix (bare or in a LinearOperator) acting on a real vector, ("modes",
-    m) for a SymbolOperator with m components acting on its complex
-    coefficients, None for anything else, which is marched alone."""
-    mat = op.mat if isinstance(op, LinearOperator) else op
-    if (
-        sp.issparse(mat)
-        and mat.format == "csr"
-        and mat.dtype == np.float64
-        and u.dtype == np.float64
-        and u.shape == (mat.shape[0],) == (mat.shape[1],)
-    ):
+    """What the level (op, u) stacks with: "csr" for a LinearOperator with
+    a real matrix acting on a real vector of its size, ("modes", m) for a
+    SymbolOperator with m components acting on its complex coefficient
+    array. Any other pair raises ValueError."""
+    pair = (type(op), u.dtype)
+    if pair == (LinearOperator, np.float64) and op.mat.dtype == u.dtype and u.shape == (op.n,):
         return "csr"
-    if (
-        isinstance(op, SymbolOperator)
-        and u.dtype == np.complex128
-        and u.shape == op.symbols.shape[:-1]
-    ):
+    if pair == (SymbolOperator, np.complex128) and u.shape == op.symbols.shape[:-1]:
         return ("modes", op.symbols.shape[-1])
-    return None
+    raise ValueError(
+        "a march takes a real LinearOperator on a real vector of its size, or a "
+        "SymbolOperator on a complex coefficient array of its shape; got a "
+        f"{type(op).__name__} on a {u.dtype} array of shape {u.shape}"
+    )
 
 
 class _Stack(NamedTuple):
@@ -219,12 +215,11 @@ def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
     row), so scipy's CSR matvec kernel sums each row exactly as for the
     level alone. A modes stack concatenates the per-mode matrices, and
     matmul multiplies each on its own. `out *= h` is then the IEEE
-    product `tau * (L v)` row by row. A level of no kind is a stack of
-    one that applies `tau * L v` through op itself.
+    product `tau * (L v)` row by row.
     """
     shapes = [u.shape for u in states]
     if kind == "csr":
-        mats = [op.mat if isinstance(op, LinearOperator) else op for op in ops]
+        mats = [op.mat for op in ops]
         u = np.concatenate(states)
         stops = list(accumulate(len(s) for s in states))
         spans = [(int(m.indptr[0]), int(m.indptr[-1])) for m in mats]
@@ -251,7 +246,7 @@ def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
                 return out
 
             return apply
-    elif kind is not None:
+    else:
         m = kind[1]
         mats = np.concatenate([op.symbols.reshape(-1, m, m) for op in ops])
         u = np.concatenate([s.reshape(-1, m) for s in states])
@@ -266,17 +261,8 @@ def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
                 return out
 
             return apply
-    else:
-        (op,), (u,) = ops, states
-        apply_l = op if callable(op) else op.apply if hasattr(op, "apply") else op.__matmul__
-        stops = [1]
-
-        def bind(rows: int) -> Callable:
-            return lambda v: float(h[0]) * apply_l(v)
 
     h = np.empty(stops[-1])
-    if kind is None:
-        return _Stack(u, stops, h, bind, lambda u, j: u)
     starts = [0] + stops[:-1]
     return _Stack(u, stops, h, bind, lambda u, j: u[starts[j]:stops[j]].reshape(shapes[j]))
 
@@ -293,21 +279,21 @@ class StabilityWarning(UserWarning):
     pass
 
 
-def check_cfl(taus: Sequence[float], op_norms, cfl_limit: float, strict_cfl: bool) -> list:
-    """What is wrong with each level, in order, when taus[i] * op_norms[i]
-    exceeds the budget cfl_limit, or None; op_norms may be lazy. A
-    violation raises NumericalError under strict_cfl, or else warns a
-    StabilityWarning at the line that called check_cfl's caller, so a
-    public entry point that checks its own steps names its caller."""
+def check_cfl(levels: Sequence[tuple], cfl_limit: float, strict_cfl: bool) -> list[str]:
+    """The violations, in level order, among levels given as (label, tau,
+    |L|) whose tau * |L| exceeds the budget cfl_limit; `run_study` checks
+    its levels here before it marches them. The first violation raises
+    NumericalError under strict_cfl; otherwise each warns a
+    StabilityWarning at the line that called check_cfl's caller."""
     msgs = []
-    for tau, nrm in zip(taus, op_norms):
-        msg = None
+    for label, tau, nrm in levels:
         if tau * nrm > cfl_limit * (1 + 1e-12):
-            msg = f"tau * |L| = {tau * nrm:.4e} exceeds the stability budget {cfl_limit:.4e}"
+            msg = (f"level {label}: tau * |L| = {tau * nrm:.4e} exceeds the stability "
+                   f"budget {cfl_limit:.4e}")
             if strict_cfl:
                 raise NumericalError(msg)
             warnings.warn(msg, StabilityWarning, stacklevel=3)
-        msgs.append(msg)
+            msgs.append(msg)
     return msgs
 
 
@@ -337,40 +323,32 @@ def evolve_levels(
     t_final: float,
     scheme: RKScheme,
     *,
-    cfl_limit: float | None = None,
-    op_norms: Sequence[float] | None = None,
-    strict_cfl: bool = False,
     record_norms: bool = False,
 ) -> list[EvolveResult]:
     """March every level u' = L_i u from states[i] to t_final in lockstep,
     with uniform steps of length taus[i] and one shorter last step when
     taus[i] does not divide t_final.
 
-    Levels that stack (see _stack) march as one state, ordered by
+    Each level is a LinearOperator on a real vector or a SymbolOperator
+    on its complex coefficients (see _stack_kind); any other pair raises
+    ValueError. The levels of one kind march as one stack, ordered by
     descending step count: each step is one Horner sweep whose products
     are one kernel call on the stacked operator. A finished level leaves
     the stack, so the levels still marching are always a prefix of it.
     Every state is bitwise the one marching its level alone gives.
 
-    When cfl_limit is given, each taus[i] * |L_i| is checked against it up
-    front, in level order (|L_i| measured unless op_norms passes them in);
-    a violation warns at the caller's line, or raises NumericalError under
-    strict_cfl before
-    anything is marched. A level whose state is not finite when its step
-    count is a power of two, or at its end, has diverged and leaves the
-    stack, and so do the levels after it in level order. Once the rest
-    have finished, the first diverged level raises NumericalError with its
-    own step count.
+    No step is checked against the stability budget (see check_cfl). A
+    level whose state is not finite when its step count is a power of
+    two, or at its end, has diverged and leaves the stack, and so do the
+    levels after it in level order. Once the rest have finished, the
+    first diverged level raises NumericalError with its own step count.
     """
     if t_final < 0 or any(tau <= 0 for tau in taus):
         raise ValueError("step size must be positive and horizon nonnegative")
-    if cfl_limit is not None:
-        norms = (operator_norm(op) for op in ops) if op_norms is None else op_norms
-        check_cfl(taus, norms, cfl_limit, strict_cfl)
-
     plans = [_step_plan(tau, t_final) for tau in taus]
     counts = [n for n, _ in plans]
     finals = [np.array(u, copy=True) for u in states]
+    kinds = [_stack_kind(op, u) for op, u in zip(ops, finals)]
     norms = [[float(np.linalg.norm(u))] for u in finals] if record_norms else None
     diverged = {i: 0 for i, u in enumerate(finals) if not counts[i] and not np.isfinite(u).all()}
 
@@ -414,12 +392,10 @@ def evolve_levels(
                 u = u[: stack.stops[active - 1]]
         return [], k
 
-    kinds = [_stack_kind(op, u) for op, u in zip(ops, finals)]
     groups: dict = {}
     for i in sorted(range(len(ops)), key=lambda i: -counts[i]):
         if counts[i]:
-            # A level that stacks with nothing is a group of its own.
-            groups.setdefault(kinds[i] or i, []).append(i)
+            groups.setdefault(kinds[i], []).append(i)
     for group in groups.values():
         k = 0
         # A diverged level stops the levels after it: the error is its own.
@@ -449,35 +425,26 @@ def evolve(
     t_final: float,
     scheme: RKScheme,
     *,
-    cfl_limit: float | None = None,
-    op_norm: float | None = None,
-    strict_cfl: bool = False,
     record_norms: bool = False,
 ) -> EvolveResult:
     """March u' = L u from 0 to t_final with uniform steps of length tau,
     finishing with one shorter step when tau does not divide t_final:
-    evolve_levels on one level.
+    evolve_levels on one level, which takes the same (op, state) pairs.
 
-    When cfl_limit is given, tau * |L| is checked against it once up
-    front (|L| measured unless op_norm passes it in); a violation warns at
-    the caller's line, or raises NumericalError under strict_cfl. A march whose final state
-    is not finite has diverged and raises NumericalError; the state is
-    also checked whenever the step count is a power of two, so a march
-    that overflows stops within twice its steps-to-overflow.
+    A march whose final state is not finite has diverged and raises
+    NumericalError; the state is also checked whenever the step count is
+    a power of two, so a march that overflows stops within twice its
+    steps-to-overflow.
     """
-    if cfl_limit is not None:
-        nrm = operator_norm(op) if op_norm is None else op_norm
-        check_cfl([tau], [nrm], cfl_limit, strict_cfl)
     (result,) = evolve_levels([op], [u0], [tau], t_final, scheme, record_norms=record_norms)
     return result
 
 
-def _dense(op, what: str) -> np.ndarray:
-    """op as a dense array, refused above DENSE_LIMIT unknowns."""
-    mat = op.mat if isinstance(op, LinearOperator) else op
-    if mat.shape[0] > DENSE_LIMIT:
-        raise ValueError(f"{what} is dense-only; {mat.shape[0]} unknowns exceed {DENSE_LIMIT}")
-    return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+def _dense(op: LinearOperator, what: str) -> np.ndarray:
+    """op's matrix as a dense array, refused above DENSE_LIMIT unknowns."""
+    if op.n > DENSE_LIMIT:
+        raise ValueError(f"{what} is dense-only; {op.n} unknowns exceed {DENSE_LIMIT}")
+    return op.dense()
 
 
 def amplification_norm(op, scheme: RKScheme, tau: float) -> float:
@@ -488,9 +455,8 @@ def amplification_norm(op, scheme: RKScheme, tau: float) -> float:
     one batched Horner sweep and the largest per-mode norm is returned.
     Other operators are evaluated densely, up to DENSE_LIMIT unknowns.
     """
-    symbols = getattr(op, "symbols", None)
-    if symbols is not None:
-        stack = _mode_stack(symbols)
+    if op.symbols is not None:
+        stack = _mode_stack(op.symbols)
     else:
         stack = _dense(op, "the amplification norm")[None]
     eye = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape)
@@ -510,29 +476,30 @@ def _expm_multiply(a, v: np.ndarray) -> np.ndarray:
         np.random.set_state(state)
 
 
-def expm_reference(op, t: float, v: np.ndarray) -> tuple[np.ndarray, float]:
+def expm_reference(op: LinearOperator, t: float, v: np.ndarray) -> tuple[np.ndarray, float]:
     """exp(tL) v from `expm_multiply`, cross-checked by an independent
     evaluation, and the relative gap between the two.
 
     The reference is scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham)
-    on the sparse matrix, or on the array itself. An operator with
-    symbols (a LinearOperator on a uniform periodic mesh) is checked mode
-    by mode: one batched `scipy.linalg.expm(t * symbols)` applied through
+    on the operator's sparse matrix; a SymbolOperator, which has none, is
+    refused with ValueError. An operator with symbols (on a uniform
+    periodic mesh) is checked mode by mode: one batched
+    `scipy.linalg.expm(t * symbols)` applied through
     LinearOperator.apply_modes. Any other operator is checked against the
     dense `scipy.linalg.expm(t * dense) @ v`, refused above DENSE_LIMIT
     unknowns. A gap |check - ref| / |ref| above 1e-9 raises
     NumericalError.
     """
-    symbols = getattr(op, "symbols", None)
-    if symbols is not None:
-        check = op.apply_modes(scipy.linalg.expm(t * symbols), v)
+    if isinstance(op, SymbolOperator):
+        raise ValueError("temporal studies need a matrix operator; a SymbolOperator has none")
+    if op.symbols is not None:
+        check = op.apply_modes(scipy.linalg.expm(t * op.symbols), v)
     else:
         check = scipy.linalg.expm(t * _dense(op, "the reference exponential's check")) @ v
-    mat = op.mat if isinstance(op, LinearOperator) else op
-    ref = _expm_multiply(t * mat, v)
+    ref = _expm_multiply(t * op.mat, v)
     gap = float(np.linalg.norm(check - ref) / max(np.linalg.norm(ref), 1e-300))
     if gap > 1e-9:
-        check_kind = "dense" if symbols is None else "per-mode"
+        check_kind = "dense" if op.symbols is None else "per-mode"
         raise NumericalError(
             f"the {check_kind} exponential disagrees with expm_multiply: relative gap {gap:.3e}"
         )

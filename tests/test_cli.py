@@ -86,6 +86,18 @@ def test_diverged_march_exits_three_without_reports(tmp_path, capsys, write_conf
     assert not list(out_dir.glob("*"))
 
 
+def test_strict_cfl_exits_three_without_reports(tmp_path, capsys, write_config,
+                                                tiny_advection_config):
+    """With tau = 0.15 the n = 16 level steps past ssp3's budget; under
+    --strict-cfl that is a numerical failure, not a flag."""
+    doc = tiny_advection_config(time={"integrator": "ssp3", "t_final": 0.3, "tau": 0.15})
+    path = write_config(doc, "strict.json")
+    out_dir = tmp_path / "out"
+    assert main(["converge", "--strict-cfl", "--config", path, "--out", str(out_dir)]) == 3
+    assert "level n=16: tau * |L| = 2.2918e+00" in capsys.readouterr().err
+    assert not list(out_dir.glob("*"))
+
+
 def test_stability_scan_runs_and_reports(tmp_path, capsys, write_config):
     path = write_config(stability_doc(), "scan.json")
     code = main(["stability-scan", "--config", path, "--out", str(tmp_path)])

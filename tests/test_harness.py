@@ -700,7 +700,7 @@ def test_zero_operators_are_refused(tiny_advection_config, mesh):
 
 def test_cfl_budget_excess_is_a_report_flag(tiny_advection_config):
     """ssp3's budget is sqrt(3); with tau = 0.15 only the n = 16 level,
-    |L| = 15.28, steps past it. evolve still warns."""
+    |L| = 15.28, steps past it. run_study flags it and warns."""
     doc = tiny_advection_config(time={"integrator": "ssp3", "t_final": 0.3, "tau": 0.15})
     with pytest.warns(StabilityWarning):
         result = run_study(doc)

@@ -39,13 +39,14 @@ from rkdg_lab import (
     operator_norm,
     resolve_scheme,
     rk_step,
+    run_study,
     sigma_factor,
     solution_catalog,
     taylor_rk,
     two_step_rk4,
     validate_config,
 )
-from rkdg_lab import time_integration
+from rkdg_lab import harness, time_integration
 from conftest import VARIANTS, build_variant, dense_norm
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -116,9 +117,14 @@ def test_amplification_matches_mpmath_polynomial():
 # ---------------------------------------------------------------------------
 
 
+def diagonal(lam, n=1):
+    """lam times the identity on n unknowns."""
+    return LinearOperator(sp.identity(n, format="csr") * lam)
+
+
 def test_rk_step_is_stability_polynomial_on_scalars():
     lam = -0.7
-    op = lambda v: lam * v
+    op = diagonal(lam)
     scheme = resolve_scheme("rk4")
     tau = 0.3
     u = rk_step(op, np.array([2.0]), tau, scheme)
@@ -126,15 +132,8 @@ def test_rk_step_is_stability_polynomial_on_scalars():
     assert abs(u[0] - expected) < 1e-14
 
 
-def test_rk_step_accepts_callables():
-    scheme = resolve_scheme("heun")
-    apply_l = lambda v: -2.0 * v
-    u = rk_step(apply_l, np.array([1.0]), 0.1, scheme)
-    assert abs(u[0] - (1.0 - 0.2 + 0.02)) < 1e-15
-
-
 def test_evolve_step_snapping():
-    op = lambda v: 0.0 * v
+    op = diagonal(0.0)
     scheme = resolve_scheme("euler")
     res = evolve(op, np.array([1.0]), 0.3, 1.0, scheme, record_norms=True)
     assert res.n_steps == 4
@@ -149,13 +148,13 @@ def test_evolve_matches_power_of_amplification():
     lam = -1.3
     scheme = resolve_scheme("rk4")
     tau = 0.25
-    res = evolve(lambda v: lam * v, np.array([1.0]), tau, 1.0, scheme)
+    res = evolve(diagonal(lam), np.array([1.0]), tau, 1.0, scheme)
     r = scheme.amplification(np.array([tau * lam + 0j]))[0].real
     assert abs(res.state[0] - r ** 4) < 1e-13
 
 
 def test_evolve_validates_inputs():
-    op = lambda v: 0.0 * v
+    op = diagonal(0.0)
     with pytest.raises(ValueError):
         evolve(op, np.array([1.0]), 0.0, 1.0, resolve_scheme("euler"))
     with pytest.raises(ValueError):
@@ -166,7 +165,7 @@ def test_evolve_raises_when_the_march_diverges():
     """1001^400 overflows to inf: a diverged march is a numerical failure,
     never a non-finite state handed back to the caller."""
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="diverged"):
-        evolve(lambda v: 1e3 * v, np.ones(3), 1.0, 400.0, resolve_scheme("euler"))
+        evolve(diagonal(1e3, 3), np.ones(3), 1.0, 400.0, resolve_scheme("euler"))
 
 
 def test_evolve_stops_a_diverged_march_early():
@@ -189,22 +188,36 @@ def test_evolve_stops_a_diverged_march_early():
         evolve(problem.op, problem.prepare(0.0), 0.25, 1000.0, resolve_scheme("euler"))
 
 
-def test_cfl_gate_warns_or_raises():
-    mesh = Mesh1D.uniform(16)
-    op = assemble_high_order_lh(mesh, 1, 1, -1.0, theta0=1.0)
-    u0 = np.ones(op.n)
-    scheme = resolve_scheme("ssp3")
-    with pytest.warns(StabilityWarning):
-        evolve(op, u0, 1.0, 1.0, scheme, cfl_limit=1e-3)
-    with pytest.raises(NumericalError):
-        evolve(op, u0, 1.0, 1.0, scheme, cfl_limit=1e-3, strict_cfl=True)
+def test_evolve_refuses_any_other_operator_and_state():
+    """A march takes a LinearOperator on a real vector or a SymbolOperator
+    on its complex coefficients, and nothing else."""
+    op, euler = diagonal(-1.0, 4), resolve_scheme("euler")
+    symbol = SymbolOperator(3, 1, (EXCHANGE,))
+    real_coeffs = np.ones(symbol.symbols.shape[:-1])
+    for level in [(lambda v: -v, np.ones(4)), (op, np.ones(4, dtype=complex)),
+                  (symbol, real_coeffs)]:
+        with pytest.raises(ValueError, match="a march takes a real LinearOperator"):
+            evolve(*level, 0.1, 1.0, euler)
 
 
-def test_cfl_warning_names_the_caller_of_evolve():
-    op = assemble_high_order_lh(Mesh1D.uniform(16), 1, 1, -1.0, theta0=1.0)
+# ---------------------------------------------------------------------------
+# run_study checks every step against the stability budget before marching
+# ---------------------------------------------------------------------------
+
+BUDGET_FLAG = "level n={}: tau * |L| = {} exceeds the stability budget 1.7321e+00"
+
+
+def test_cfl_gate_warns_or_raises(tiny_advection_config):
+    """ssp3's budget is sqrt(3); with tau = 0.15 only the n = 16 level,
+    |L| = 15.28, steps past it. Under strict_cfl that level raises;
+    otherwise it warns and is flagged."""
+    doc = tiny_advection_config(time={"integrator": "ssp3", "t_final": 0.3, "tau": 0.15})
+    with pytest.raises(NumericalError, match=r"^level n=16: tau \* \|L\| = 2.2918e\+00"):
+        run_study(doc, strict_cfl=True)
     with pytest.warns(StabilityWarning) as caught:
-        evolve(op, np.ones(op.n), 1.0, 1.0, resolve_scheme("ssp3"), cfl_limit=1e-3)
-    assert [w.filename for w in caught] == [__file__]
+        result = run_study(doc)
+    assert [str(w.message) for w in caught] == [BUDGET_FLAG.format(16, "2.2918e+00")]
+    assert result.flags == (BUDGET_FLAG.format(16, "2.2918e+00"),)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +261,6 @@ def test_evolve_is_plain_horner_on_a_real_sparse_operator():
     )
 
 
-def test_evolve_is_plain_horner_on_a_complex_state():
-    op, tau = ultraweak_k3(8)
-    rng = np.random.default_rng(4)
-    u0 = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-    assert_march_is_plain_horner(
-        op, lambda v: op.mat @ v, u0, tau, 40.3 * tau, resolve_scheme("ssp3")
-    )
-
-
 def test_evolve_is_plain_horner_on_a_symbol_operator():
     """The reference applies the symbols by einsum, the formulation the
     matmul in SymbolOperator.apply must match."""
@@ -268,21 +272,16 @@ def test_evolve_is_plain_horner_on_a_symbol_operator():
     assert_march_is_plain_horner(op, apply_l, u0, 0.1, 2.05, resolve_scheme("rk4"))
 
 
-def test_evolve_is_plain_horner_on_a_callable():
-    apply_l = lambda v: np.roll(v, 1) - 0.7 * v
-    u0 = np.random.default_rng(6).standard_normal(10)
-    assert_march_is_plain_horner(apply_l, apply_l, u0, 0.3, 4.0, resolve_scheme("rk4"))
-
-
-@pytest.mark.parametrize("kind", ["operator", "csr", "complex"])
+@pytest.mark.parametrize("kind", ["operator", "system"])
 def test_rk_step_is_plain_horner(kind):
-    op, tau = ultraweak_k3(8)
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(op.n)
-    if kind == "complex":
-        u = u + 1j * rng.standard_normal(op.n)
+    if kind == "operator":
+        op, tau = ultraweak_k3(8)
+    else:  # a two-field system
+        op = assemble_wave_alphabeta(Mesh1D.uniform(8), 1, 0.25, -0.5, -0.5)
+        tau = 1.0 / operator_norm(op)
+    u = np.random.default_rng(7).standard_normal(op.n)
     scheme = resolve_scheme("two_step_rk4")
-    got = rk_step(op.mat if kind == "csr" else op, u, tau, scheme)
+    got = rk_step(op, u, tau, scheme)
     assert np.array_equal(got, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
 
 
@@ -364,26 +363,10 @@ def test_lockstep_march_is_bitwise_the_per_level_march(levels, scheme, record):
         assert res.norms == alone.norms
 
 
-def test_lockstep_march_takes_a_callable_as_a_batch_of_one():
-    """A callable stacks with nothing; it marches alone through the same
-    loop while two sparse levels march stacked."""
-    op, tau = ultraweak_k3(8)
-    apply_l = lambda v: np.roll(v, 1) - 0.7 * v
-    rng = np.random.default_rng(9)
-    ops = [op, apply_l, op]
-    states = [rng.standard_normal(op.n), rng.standard_normal(10), rng.standard_normal(op.n)]
-    taus = [tau, 0.3, 0.7 * tau]
-    scheme = resolve_scheme("rk4")
-    for res, *level in zip(evolve_levels(ops, states, taus, 40.3 * tau, scheme), ops, states, taus):
-        alone = evolve(*level, 40.3 * tau, scheme)
-        assert (res.n_steps, res.final_step) == (alone.n_steps, alone.final_step)
-        assert np.array_equal(res.state, alone.state)
-
-
 def growth_level(g, tau):
-    """A sparse operator whose forward-Euler step of length tau multiplies
+    """An operator whose forward-Euler step of length tau multiplies
     every entry by g."""
-    return sp.identity(4, format="csr") * ((g - 1.0) / tau)
+    return diagonal((g - 1.0) / tau, 4)
 
 
 @pytest.mark.parametrize("order,steps", [((0, 1, 2), 128), ((2, 1, 0), 32)])
@@ -407,28 +390,29 @@ def test_lockstep_divergence_raises_what_the_per_level_sequence_raises(order, st
     assert str(lockstep.value).endswith(f"not finite after {steps} steps")
 
 
-def test_lockstep_cfl_checks_come_first_in_level_order():
-    """Every level is checked before any is marched: under strict_cfl the
-    first violation raises with no product applied, and without it each
-    violating level warns in level order."""
-    calls = []
+def test_lockstep_cfl_checks_come_first_in_level_order(tiny_advection_config, monkeypatch):
+    """Every level is checked before the lockstep march: with tau = 0.15
+    both n = 16 and n = 20 step past the budget. Under strict_cfl the
+    first in level order raises and nothing is marched; without it each
+    violating level warns once, in level order, and the march goes on."""
+    doc = tiny_advection_config(grid={"levels": [8, 12, 16, 20]},
+                                time={"integrator": "ssp3", "t_final": 0.3, "tau": 0.15})
+    marches, march = [], harness.evolve_levels
 
-    def counted(v):
-        calls.append(1)
-        return -v
+    def counted(*args, **kwargs):
+        marches.append(len(args[0]))
+        return march(*args, **kwargs)
 
-    ops = [counted, growth_level(0.5, 1.0), growth_level(0.5, 1.0)]
-    kwargs = {"cfl_limit": 1.0, "op_norms": [1.0, 2.0, 3.0]}
-    args = (ops, [np.ones(4)] * 3, [0.1, 1.0, 1.0], 2.0, resolve_scheme("euler"))
-    with pytest.raises(NumericalError, match=r"tau \* \|L\| = 2.0000e\+00"):
-        evolve_levels(*args, strict_cfl=True, **kwargs)
-    assert calls == []
+    monkeypatch.setattr(harness, "evolve_levels", counted)
+    with pytest.raises(NumericalError, match="^level n=16: "):
+        run_study(doc, strict_cfl=True)
+    assert marches == []
     with pytest.warns(StabilityWarning) as caught:
-        evolve_levels(*args, **kwargs)
-    assert [str(w.message)[:22] for w in caught] == [
-        "tau * |L| = 2.0000e+00", "tau * |L| = 3.0000e+00",
-    ]
-    assert calls
+        result = run_study(doc)
+    expected = [BUDGET_FLAG.format(16, "2.2918e+00"), BUDGET_FLAG.format(20, "2.8648e+00")]
+    assert [str(w.message) for w in caught] == expected
+    assert list(result.flags) == expected
+    assert marches == [4]
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +426,15 @@ def test_expm_reference_matches_eigendecomposition():
     sym = 0.5 * (a + a.T)
     w, v = np.linalg.eigh(sym)
     ref = v @ np.diag(np.exp(0.7 * w)) @ v.T
-    got, _ = expm_reference(sym, 0.7, np.eye(30))
+    got, _ = expm_reference(LinearOperator(sp.csr_matrix(sym)), 0.7, np.eye(30))
     np.testing.assert_allclose(got, ref, atol=1e-12 * np.abs(ref).max())
+
+
+def test_expm_reference_refuses_a_symbol_operator():
+    """A SymbolOperator has no matrix for expm_multiply to act on."""
+    op = SymbolOperator(3, 1, (EXCHANGE,))
+    with pytest.raises(ValueError, match="temporal studies need a matrix operator"):
+        expm_reference(op, 1.0, np.ones(op.symbols.shape[:-1], dtype=complex))
 
 
 def test_expm_reference_rejects_large_operators():
