@@ -3,6 +3,7 @@ exponentials. sympy reproduces the stability polynomials symbolically and
 mpmath supplies extended-precision values for the growth factor and the
 reference exponential."""
 
+import inspect
 import math
 import os
 
@@ -47,6 +48,7 @@ from rkdg_lab import (
     validate_config,
 )
 from rkdg_lab import harness, time_integration
+from rkdg_lab.time_integration import check_cfl
 from conftest import VARIANTS, build_variant, dense_norm
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -218,6 +220,23 @@ def test_cfl_gate_warns_or_raises(tiny_advection_config):
         result = run_study(doc)
     assert [str(w.message) for w in caught] == [BUDGET_FLAG.format(16, "2.2918e+00")]
     assert result.flags == (BUDGET_FLAG.format(16, "2.2918e+00"),)
+
+
+def test_cfl_warning_names_the_caller_of_evolve():
+    """A routine that checks its step with check_cfl and then marches with
+    evolve, as run_study does, warns at the line that called the routine,
+    not inside it or in the library."""
+    op = assemble_high_order_lh(Mesh1D.uniform(16), 1, 1, -1.0, theta0=1.0)
+    scheme = resolve_scheme("ssp3")
+
+    def checked_march(tau):
+        check_cfl([("n=16", tau, operator_norm(op))], 1e-3, strict_cfl=False)
+        return evolve(op, np.ones(op.n), tau, 1.0, scheme)
+
+    with pytest.warns(StabilityWarning) as caught:
+        line = inspect.currentframe().f_lineno + 1
+        checked_march(1.0)
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
 
 # ---------------------------------------------------------------------------
