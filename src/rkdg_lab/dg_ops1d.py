@@ -65,6 +65,28 @@ class LinearOperator:
         return self.mat.shape[0]
 
     @cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(symbols, the spectral norm of each), kept together so that no
+        caller sees one without the other; None without symbols."""
+        if self.layout is None:
+            return None
+        block_rows, bound, c_bound = _circulant_defect(self.mat, self.layout)
+        if bound > 1e-12 * c_bound:  # c_bound >= |C|_2: refused before any SVD
+            return None
+        shape, cell_axes = self.layout
+        m = block_rows.shape[0]
+        axes = tuple(1 + ax for ax in cell_axes)
+        symbols = np.fft.fftn(block_rows.reshape((m,) + shape), axes=axes)
+        symbols = np.moveaxis(symbols, axes, tuple(range(len(axes))))
+        symbols = symbols.reshape(-1, m, m)
+        norms = _mode_norms(symbols)
+        if bound > 1e-12 * norms.max():
+            return None
+        symbols.setflags(write=False)
+        norms.setflags(write=False)
+        return symbols, norms
+
+    @property
     def symbols(self) -> np.ndarray | None:
         """Per-mode matrices, shape (modes, m, m), when the operator is
         block circulant over its cell axes; None otherwise.
@@ -72,40 +94,22 @@ class LinearOperator:
         The blocks are read from the cell-0 block rows of the matrix and
         Fourier transformed over the cell axes, so the operator is unitarily
         similar to the block diagonal of the symbols. They are returned only
-        when the circulant C rebuilt from those rows reproduces the matrix:
+        when the block circulant C with those rows reproduces the matrix:
         the bound sqrt(|A - C|_1 |A - C|_inf) >= |A - C|_2 must be at most
-        1e-12 |C|_2. Uniform meshes pass (their widths differ by ulps),
-        perturbed ones do not. Computed on first use and kept.
+        1e-12 |C|_2. The bound is summed entry by entry without building C
+        (see _circulant_defect). An operator whose bound already exceeds
+        1e-12 sqrt(|C|_1 |C|_inf) >= 1e-12 |C|_2 is refused before any
+        Fourier transform or SVD; otherwise |C|_2 comes from the one
+        batched SVD of the symbols, whose per-mode norms `mode_norms`
+        keeps for operator_norm. Uniform meshes pass (their widths differ
+        by ulps), perturbed ones do not. Computed on first use and kept.
         """
-        if self.layout is None:
-            return None
-        shape, cell_axes = self.layout
-        axes = tuple(1 + ax for ax in cell_axes)
-        cell0 = tuple(0 if ax in cell_axes else slice(None) for ax in range(len(shape)))
-        rows = np.arange(self.n).reshape(shape)[cell0].ravel()
-        block_rows = self.mat[rows]
-        symbols = np.fft.fftn(block_rows.toarray().reshape((rows.size,) + shape), axes=axes)
-        symbols = np.moveaxis(symbols, axes, tuple(range(len(axes))))
-        symbols = symbols.reshape(-1, rows.size, rows.size)
+        return None if self._modes is None else self._modes[0]
 
-        # C repeats every cell-0 entry once per cell shift, with its row
-        # and column cell indices moved by that shift.
-        entries = block_rows.tocoo()
-        row_at = list(np.unravel_index(rows[entries.row], shape))
-        col_at = list(np.unravel_index(entries.col, shape))
-        shifts = np.indices([shape[ax] for ax in cell_axes]).reshape(len(cell_axes), -1, 1)
-        for shift, ax in zip(shifts, cell_axes):
-            row_at[ax] = (row_at[ax] + shift) % shape[ax]
-            col_at[ax] = (col_at[ax] + shift) % shape[ax]
-        data = np.broadcast_to(entries.data, (shifts.shape[1], entries.nnz)).ravel()
-        row_idx = np.ravel_multi_index(np.broadcast_arrays(*row_at), shape).ravel()
-        col_idx = np.ravel_multi_index(np.broadcast_arrays(*col_at), shape).ravel()
-        defect = abs(self.mat - sp.csr_matrix((data, (row_idx, col_idx)), shape=self.mat.shape))
-        bound = np.sqrt(defect.sum(axis=0).max() * defect.sum(axis=1).max())
-        if bound > 1e-12 * _mode_norms(symbols).max():
-            return None
-        symbols.setflags(write=False)
-        return symbols
+    @property
+    def mode_norms(self) -> np.ndarray | None:
+        """Spectral norm of every matrix in `symbols`; None without them."""
+        return None if self._modes is None else self._modes[1]
 
     def apply_modes(self, per_mode: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The operator whose mode-k block is per_mode[k], applied to v.
@@ -150,6 +154,51 @@ def _mode_stack(symbols: np.ndarray) -> np.ndarray:
 def _mode_norms(symbols: np.ndarray) -> np.ndarray:
     """Spectral norm of every per-mode matrix, by one batched SVD."""
     return np.linalg.norm(_mode_stack(symbols), 2, axis=(-2, -1))
+
+
+def _circulant_defect(mat: sp.csr_matrix, layout: tuple) -> tuple[np.ndarray, float, float]:
+    """(block_rows, sqrt(|A - C|_1 |A - C|_inf), sqrt(|C|_1 |C|_inf)) for
+    A = mat and C the block circulant over the layout's cell axes whose
+    cell-0 block rows, the dense block_rows of shape (m, n), are A's.
+
+    C's entry in a row of cell c and a column of cell d is the entry of
+    its block row in that column moved back to cell d - c. So each stored
+    entry of A is moved back by its row's cell shift, one cell axis at a
+    time in the matrix's own index dtype, and read off block_rows. C's
+    entries outside A's pattern add |C|'s row and column sums less the
+    part that A's pattern covers. A column of C holds the same values as
+    every column at the same place in another cell.
+    """
+    shape, cell_axes = layout
+    if not mat.has_canonical_format:  # duplicate entries add up
+        mat = mat.copy()
+        mat.sum_duplicates()
+    n, counts = mat.shape[0], np.diff(mat.indptr)
+    cell0 = tuple(slice(0, 1) if ax in cell_axes else slice(None) for ax in range(len(shape)))
+    rows = np.arange(n).reshape(shape)[cell0]
+    block_rows = mat[rows.ravel()].toarray()
+    block = np.broadcast_to(np.arange(rows.size).reshape(rows.shape), shape).ravel()
+    col_back = mat.indices.copy()
+    for ax in cell_axes:
+        size, stride, dtype = shape[ax], int(np.prod(shape[ax + 1:])), col_back.dtype
+        ramp = np.arange(size, dtype=dtype)
+        along = [-1 if a == ax else 1 for a in range(len(shape))]
+        cell = np.broadcast_to(ramp.reshape(along), shape).ravel()  # of every index
+        wrap = np.tile(ramp, 2)  # wrap[d + size] = d mod size
+        col_cell = cell[mat.indices]
+        col_back += (wrap[col_cell - np.repeat(cell, counts) + size] - col_cell) * stride
+    c = block_rows[np.repeat(block, counts), col_back]
+    excess = np.abs(mat.data - c) - np.abs(c)  # |A - C| less |C| on A's pattern
+    del c, col_back  # freed before the per-entry arrays of the sums below
+    abs_rows = np.abs(block_rows)
+    row_abs = abs_rows.sum(axis=1)
+    col_abs = abs_rows.sum(axis=0).reshape(shape).sum(axis=cell_axes, keepdims=True)
+    col_abs = np.broadcast_to(col_abs, shape).ravel()
+    row_defect = np.bincount(np.repeat(np.arange(n), counts), excess, minlength=n) + row_abs[block]
+    col_defect = np.bincount(mat.indices, excess, minlength=n) + col_abs
+    # Rounding can leave an exactly covered row or column a hair below 0.
+    bound = np.sqrt(max(row_defect.max(), 0.0) * max(col_defect.max(), 0.0))
+    return block_rows, float(bound), float(np.sqrt(row_abs.max() * col_abs.max()))
 
 
 def _block_stencil(stencil: np.ndarray) -> sp.csr_matrix:
@@ -392,10 +441,13 @@ def operator_norm(op) -> float:
 
     An operator with symbols (a SymbolOperator, or a LinearOperator on a
     uniform periodic mesh) gives the exact maximum over its per-mode
-    singular values. Otherwise it is ARPACK's largest singular value.
+    singular values; a LinearOperator keeps them from the batched SVD
+    that accepted its symbols. Otherwise it is ARPACK's largest singular
+    value.
     """
     if op.symbols is not None:
-        return float(_mode_norms(op.symbols).max())
+        norms = op.mode_norms if isinstance(op, LinearOperator) else _mode_norms(op.symbols)
+        return float(norms.max())
     if op.mat.count_nonzero() == 0:
         return 0.0  # ARPACK refuses a start vector the operator maps to zero
     return _arpack(

@@ -6,6 +6,8 @@ the closed forms P_m(1) = 1, P_m(-1) = (-1)^m, P_m'(+-1) = (+-1)^(m+1)
 m (m + 1) / 2.
 """
 
+import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,6 +18,8 @@ from rkdg_lab import (
     DGFunction,
     LinearOperator,
     Mesh1D,
+    Mesh2D,
+    assemble_advection_2d,
     assemble_d_theta,
     assemble_high_order_lh,
     assemble_ultraweak_third,
@@ -28,8 +32,13 @@ from rkdg_lab import (
     quadratic_form,
     semiboundedness_mu,
 )
-from rkdg_lab.dg_ops1d import spectrum_method
+from rkdg_lab import dg_ops1d
+from rkdg_lab.dg_ops1d import _circulant_defect, cell_layout, spectrum_method
+from rkdg_lab.harness import build_operator, load_config, run_study
 from conftest import ONE_D_VARIANTS, VARIANTS, build_variant, dense_norm, random_dg
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def eval_cell(u, j, xi, deriv=0):
@@ -369,6 +378,175 @@ def test_layout_survives_operator_algebra():
     # Circulant over cells, not over single unknowns: a layout claiming
     # one unknown per cell is refused.
     assert LinearOperator(d.mat, layout=((1, 18), (1,))).symbols is None
+
+
+def rebuilt_circulant_defect(op):
+    """The oracle for the circulance check: the block circulant C is
+    rebuilt from the cell-0 block rows as a sparse matrix and subtracted
+    from A. Returns (sqrt(|A - C|_1 |A - C|_inf), |C|_2,
+    sqrt(|C|_1 |C|_inf)), with |C|_2 from the per-mode SVD."""
+    shape, cell_axes = op.layout
+    cell0 = tuple(0 if ax in cell_axes else slice(None) for ax in range(len(shape)))
+    rows = np.arange(op.n).reshape(shape)[cell0].ravel()
+    block_rows = op.mat[rows]
+    entries = block_rows.tocoo()
+    row_at = list(np.unravel_index(rows[entries.row], shape))
+    col_at = list(np.unravel_index(entries.col, shape))
+    shifts = np.indices([shape[ax] for ax in cell_axes]).reshape(len(cell_axes), -1, 1)
+    for shift, ax in zip(shifts, cell_axes):
+        row_at[ax] = (row_at[ax] + shift) % shape[ax]
+        col_at[ax] = (col_at[ax] + shift) % shape[ax]
+    data = np.broadcast_to(entries.data, (shifts.shape[1], entries.nnz)).ravel()
+    row_idx = np.ravel_multi_index(np.broadcast_arrays(*row_at), shape).ravel()
+    col_idx = np.ravel_multi_index(np.broadcast_arrays(*col_at), shape).ravel()
+    circulant = sp.csr_matrix((data, (row_idx, col_idx)), shape=op.mat.shape)
+    defect = abs(op.mat - circulant)
+    bound = np.sqrt(defect.sum(axis=0).max() * defect.sum(axis=1).max())
+    c_bound = np.sqrt(abs(circulant).sum(axis=0).max() * abs(circulant).sum(axis=1).max())
+    axes = tuple(1 + ax for ax in cell_axes)
+    symbols = np.fft.fftn(block_rows.toarray().reshape((rows.size,) + shape), axes=axes)
+    symbols = np.moveaxis(symbols, axes, tuple(range(len(axes))))
+    c_norm = np.linalg.norm(symbols.reshape(-1, rows.size, rows.size), 2, axis=(-2, -1)).max()
+    return float(bound), float(c_norm), float(c_bound)
+
+
+def assert_circulance_matches_the_oracle(op):
+    """The entrywise check reaches the oracle's decision, with its bound
+    within 1e-13 sqrt(|C|_1 |C|_inf) of the oracle's."""
+    bound, c_norm, c_bound = rebuilt_circulant_defect(op)
+    _, new_bound, new_c_bound = _circulant_defect(op.mat, op.layout)
+    assert abs(new_bound - bound) <= 1e-13 * c_bound
+    assert new_c_bound == pytest.approx(c_bound, rel=1e-13, abs=0.0)
+    accepted = bound <= 1e-12 * c_norm
+    assert (op.symbols is not None) == accepted
+    if accepted:
+        assert op.mode_norms.max() == c_norm
+    return accepted
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+@pytest.mark.parametrize("name", VARIANTS)
+def test_circulance_check_matches_the_rebuilt_circulant_on_uniform_meshes(name, n):
+    """Every scheme variant, scalar, two-field and 2D, down to n = 2,
+    where cells j-1 and j+1 are one cell and their blocks add."""
+    op = build_variant(name, n)
+    assert assert_circulance_matches_the_oracle(op)
+
+
+def test_the_variants_cover_two_field_and_2d_layouts():
+    assert build_variant("wave", 4).layout == ((2, 4, 2), (1,))
+    assert build_variant("pair", 4).layout == ((2, 4, 3), (1,))
+    assert build_variant("advection2d_k1", 4).layout == ((4, 2, 4, 2), (0, 2))
+
+
+@pytest.mark.parametrize("name", ONE_D_VARIANTS)
+def test_circulance_check_matches_the_rebuilt_circulant_off_a_uniform_mesh(name):
+    perturbed = build_variant(name, 12, Mesh1D.perturbed(12, rel=0.2, seed=4))
+    boundaries = Mesh1D.uniform(12).boundaries.copy()
+    boundaries[5] += 1e-6 * (boundaries[1] - boundaries[0])
+    nudged = build_variant(name, 12, Mesh1D(boundaries))
+    assert not assert_circulance_matches_the_oracle(perturbed)
+    assert not assert_circulance_matches_the_oracle(nudged)
+
+
+def planted(op, where, delta):
+    """op with one defect of size delta planted. "changed": a stored entry
+    outside the cell-0 block rows moves by delta. "extra": A gains an
+    entry outside its pattern that C lacks. "missing": a cell-0 block row
+    gains such an entry, so C holds it in every cell and A only once."""
+    a = op.dense()
+    row = 0 if where == "missing" else op.n - 1
+    if where == "changed":
+        col = np.flatnonzero(a[row])[0]
+    else:
+        col = np.flatnonzero(a[row] == 0.0)[0]
+    a[row, col] += delta
+    return LinearOperator(sp.csr_matrix(a), layout=op.layout)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("where", ["changed", "extra", "missing"])
+@pytest.mark.parametrize("name", ["upwind", "wave", "advection2d_k1"])
+def test_circulance_check_on_planted_defects(name, where, factor):
+    """A defect at half the 1e-12 |C|_2 threshold is accepted and one at
+    twice it refused, by the entrywise check and the oracle alike."""
+    op = build_variant(name, 8)
+    defected = planted(op, where, factor * 1e-12 * operator_norm(op))
+    assert assert_circulance_matches_the_oracle(defected) == (factor < 1.0)
+
+
+def test_circulance_check_on_an_all_zero_operator():
+    op = LinearOperator(sp.csr_matrix((12, 12)), layout=cell_layout(1, 4, 2))
+    assert assert_circulance_matches_the_oracle(op)
+    assert not op.symbols.any() and operator_norm(op) == 0.0
+
+
+def test_circulance_check_on_rows_with_no_entries():
+    """Rows left empty in every cell keep the operator circulant; one
+    emptied row alone breaks it."""
+    op = build_variant("upwind", 8)
+    keep = np.tile([0.0, 1.0, 1.0], 8)
+    masked = (sp.diags(keep) @ op.mat).tocsr()
+    masked.eliminate_zeros()
+    assert np.diff(masked.indptr).min() == 0
+    assert assert_circulance_matches_the_oracle(LinearOperator(masked, layout=op.layout))
+    keep[-2] = 0.0
+    one_row = (sp.diags(keep) @ op.mat).tocsr()
+    one_row.eliminate_zeros()
+    assert not assert_circulance_matches_the_oracle(LinearOperator(one_row, layout=op.layout))
+
+
+def test_circulance_check_adds_duplicate_entries():
+    """A CSR matrix storing every entry a as 2a and -a is the same operator."""
+    op = build_variant("wave", 8)
+    mat = op.mat
+    parts = np.stack([2.0 * mat.data, -mat.data], axis=1).ravel()
+    split = sp.csr_matrix((parts, np.repeat(mat.indices, 2), 2 * mat.indptr), shape=mat.shape)
+    dup = LinearOperator(split, layout=op.layout)
+    assert not dup.mat.has_canonical_format and dup.mat.nnz == 2 * mat.nnz
+    assert assert_circulance_matches_the_oracle(dup)
+    assert np.array_equal(dup.symbols, op.symbols)
+
+
+def test_one_batched_svd_per_uniform_level_and_none_off_it(monkeypatch):
+    """The SVD that accepts the symbols also gives |L|: one per level of a
+    uniform study. A perturbed study is refused before any SVD and keeps
+    its Krylov |L|."""
+    calls = []
+
+    def counted(symbols, mode_norms=dg_ops1d._mode_norms):
+        calls.append(symbols.shape)
+        return mode_norms(symbols)
+
+    monkeypatch.setattr(dg_ops1d, "_mode_norms", counted)
+    uniform = run_study(load_config(os.path.join(CONFIG_DIR, "advection_upwind_k1.json")))
+    assert len(calls) == len(uniform.levels) == 5
+    assert {lv.extra["spectrum"] for lv in uniform.levels} == {"modes"}
+
+    calls.clear()
+    config = load_config(os.path.join(CONFIG_DIR, "advection_upwind_k2_perturbed.json"))
+    perturbed = run_study(config)
+    assert calls == []
+    assert {lv.extra["spectrum"] for lv in perturbed.levels} == {"krylov"}
+    config = perturbed.config
+    for salt, (n, lv) in enumerate(zip(config["grid"]["levels"], perturbed.levels)):
+        op = build_operator(config["scheme"], config["grid"], n, config["seed"], salt)[0]
+        assert lv.op_norm == operator_norm(LinearOperator(op.mat))
+
+
+def test_first_norm_of_the_finest_2d_operator_stays_within_its_memory_budget():
+    """The first operator_norm of the 9,216-unknown advection2d_k1 level
+    checks circulance, transforms and runs one batched SVD within 64
+    bytes per stored nonzero (tracemalloc peak)."""
+    op = assemble_advection_2d(Mesh2D.uniform(48, 48), 1, 1.0, 0.75)
+    assert op.n == 9216
+    tracemalloc.start()
+    try:
+        operator_norm(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * op.mat.nnz
 
 
 # ---------------------------------------------------------------------------
