@@ -77,12 +77,8 @@ def _raise_if_failed(result) -> None:
         )
 
 
-def _run_and_report(args, doc, expect_study=None) -> int:
-    if expect_study is not None:  # run_study validates doc; this checks its kind
-        validate_config(doc, expect_study=expect_study)
-    result = run_study(
-        doc, jobs=args.jobs, strict_cfl=getattr(args, "strict_cfl", False)
-    )
+def _run_and_report(args, config) -> int:
+    result = run_study(config, strict_cfl=getattr(args, "strict_cfl", False))
     try:
         paths = write_report(result, args.out, _config_stem(args.config), args.format)
     except OSError as exc:
@@ -103,7 +99,10 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    return _run_and_report(args, _load_for_run(args), expect_study="stability")
+    config = validate_config(_load_for_run(args))
+    if config["study"] != "stability":
+        raise ConfigError(f"study: expected a stability study, got {config['study']!r}")
+    return _run_and_report(args, config)
 
 
 def _cmd_check_operators(args) -> int:
@@ -160,10 +159,6 @@ def _add_run_flags(parser, strict_cfl: bool) -> None:
     parser.add_argument(
         "--format", choices=("csv", "json", "both"), default="both",
         help="report serialization (default both)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker threads for the per-level |L| and mu measurements and scan probes (default 1)",
     )
     parser.add_argument(
         "--seed", type=int, default=None, help="override the config's seed"

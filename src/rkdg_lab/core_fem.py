@@ -206,10 +206,6 @@ class DGFunction:
     def vector(self) -> np.ndarray:
         return self.coeffs.reshape(-1)
 
-    @property
-    def n_dofs(self) -> int:
-        return self.coeffs.size
-
     def norm(self) -> float:
         """L2 norm; equals the coefficient norm because the basis is
         orthonormal (Parseval)."""
@@ -238,10 +234,6 @@ class DGFunction:
         minus, plus = self.interface_values()
         return plus - minus
 
-    def averages(self) -> np.ndarray:
-        minus, plus = self.interface_values()
-        return 0.5 * (plus + minus)
-
     def evaluate(self, x, side: str = "auto") -> np.ndarray:
         """Point values. side="minus"/"plus" selects the one-sided limit at
         interface points; "auto" gives the plus limit there."""
@@ -260,24 +252,6 @@ class DGFunction:
         scale = _basis_scale(mesh, self.degree)
         vals = np.einsum("pm,mp->p", self.coeffs[idx] * scale[idx], ptab)
         return vals if vals.size > 1 else vals.reshape(())
-
-    def __add__(self, other: "DGFunction") -> "DGFunction":
-        self._check_compatible(other)
-        return DGFunction(self.mesh, self.degree, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "DGFunction") -> "DGFunction":
-        self._check_compatible(other)
-        return DGFunction(self.mesh, self.degree, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "DGFunction":
-        return DGFunction(self.mesh, self.degree, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other: "DGFunction") -> None:
-        if self.degree != other.degree or self.mesh.boundaries.shape != other.mesh.boundaries.shape \
-                or not np.array_equal(self.mesh.boundaries, other.mesh.boundaries):
-            raise ValueError("operands live on different DG spaces")
 
 
 def project_l2(f: Callable, mesh: Mesh1D, degree: int, npts: int | None = None) -> DGFunction:

@@ -51,7 +51,6 @@ class LinearOperator:
     """
 
     mat: sp.csr_matrix
-    label: str = ""
     layout: tuple | None = None
 
     def __post_init__(self):
@@ -265,10 +264,7 @@ def assemble_d_theta(mesh: Mesh1D, degree: int, theta: float) -> LinearOperator:
     (1 - theta) w_plus."""
     stencil = _flux_stencil(mesh, degree, theta, 1.0 - theta)
     stencil[1] += volume_derivative_blocks(mesh, degree)
-    return LinearOperator(
-        _block_stencil(-stencil), label=f"D[theta={theta:g}]",
-        layout=cell_layout(1, mesh.n_cells, degree),
-    )
+    return LinearOperator(_block_stencil(-stencil), layout=cell_layout(1, mesh.n_cells, degree))
 
 
 def middle_theta(q: int, theta0: float) -> float:
@@ -357,8 +353,7 @@ def assemble_high_order_lh(
     for f in factors[1:]:
         mat = mat @ f.mat
     mat = beta * mat
-    label = f"L[q={q},beta={beta:g}]"
-    return LinearOperator(mat.tocsr(), label=label, layout=factors[0].layout)
+    return LinearOperator(mat.tocsr(), layout=factors[0].layout)
 
 
 def assemble_ultraweak_third(mesh: Mesh1D, degree: int) -> LinearOperator:
@@ -385,10 +380,7 @@ def assemble_ultraweak_third(mesh: Mesh1D, degree: int) -> LinearOperator:
         + _flux_stencil(mesh, degree, 0.0, 1.0, trial_order=2, test_order=0)
     )
     stencil[1] += volume_derivative_blocks(mesh, degree, order=3)
-    return LinearOperator(
-        _block_stencil(-stencil), label="L[ultraweak q=3]",
-        layout=cell_layout(1, mesh.n_cells, degree),
-    )
+    return LinearOperator(_block_stencil(-stencil), layout=cell_layout(1, mesh.n_cells, degree))
 
 
 def spectrum_method(op) -> str:

@@ -11,10 +11,8 @@ identity checks behind the command line verification tools.
 Studies arrive as plain dictionaries in the "rkdg-lab-config/1" layout.
 Validation is strict about unknown keys so that a typo in a config file
 fails loudly instead of silently running with a default. All randomness
-flows through seeds stored in the config, and parallel runs split the
-per-level |L| and mu measurements and the scan probes with results
-gathered by index, so a run with a thread pool reproduces the serial
-output exactly.
+flows through seeds stored in the config, and every run is serial, so a
+rerun reproduces its report exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -354,7 +351,6 @@ class Problem:
     op: Any
     scale: float
     n_dofs: int
-    meshes: tuple
     prepare: Callable  # t -> state array holding the projected exact data
     error: Callable  # (state, t) -> (total error, per-field errors)
     label: str
@@ -450,7 +446,7 @@ def build_problem(
             return e, {"all": e}
 
         n_dofs = (2 * n + 1) * len(comps)
-        return Problem(op, scale, n_dofs, meshes, prepare, error, f"n_max={n}", extra)
+        return Problem(op, scale, n_dofs, prepare, error, f"n_max={n}", extra)
 
     degree = scheme["degree"]
     if family == "advection2d":
@@ -474,7 +470,7 @@ def build_problem(
             e = l2_error_2d(u, slice_2d(t), npts=degree + 5)
             return e, {"u": e}
 
-        return Problem(op, scale, op.n, meshes, prepare, error, f"{n}x{n}", extra)
+        return Problem(op, scale, op.n, prepare, error, f"{n}x{n}", extra)
 
     if family in ("wave", "conserving_pair", "central"):
         names = ("w", "chi")
@@ -495,7 +491,7 @@ def build_problem(
             total = float(math.sqrt(sum(e * e for e in errs)))
             return total, dict(zip(names, errs))
 
-        return Problem(op, scale, op.n, meshes, prepare, error, f"n={n}", extra)
+        return Problem(op, scale, op.n, prepare, error, f"n={n}", extra)
 
     # Scalar problems on a single mesh (ldg and the ultra-weak form).
     mesh = meshes[0]
@@ -516,7 +512,7 @@ def build_problem(
         e = l2_error(u, lambda x, t=t: comps[0](x, t), npts=degree + 6)
         return e, {"u": e}
 
-    return Problem(op, scale, op.n, meshes, prepare, error, f"n={n}", extra)
+    return Problem(op, scale, op.n, prepare, error, f"n={n}", extra)
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +653,6 @@ class StudyResult:
     rows: tuple = ()
 
 
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _assert_rates(report: Mapping, fitted: float) -> tuple[Mapping, bool | None]:
     """One check per validated bound: assert_<what>_min/max -> <what>_min/max."""
     checks = {}
@@ -770,7 +759,7 @@ def _temporal_plan(config, scheme, budget, defect, problems, norms) -> tuple:
     return levels, measure, meta, flags
 
 
-def _scan_stability(config: Mapping, scheme: RKScheme, jobs: int) -> tuple:
+def _scan_stability(config: Mapping, scheme: RKScheme) -> tuple:
     """(rows, assertions, passed, meta) of a stability scan: |R(tau L)| at
     tau = lambda / |L| for each scan.lambdas entry."""
     scan = config["scan"]
@@ -790,7 +779,7 @@ def _scan_stability(config: Mapping, scheme: RKScheme, jobs: int) -> tuple:
             "stable": bool(rho <= 1.0 + scan["tolerance"]),
         }
 
-    rows = _parallel_map(probe, scan["lambdas"], jobs)
+    rows = [probe(lam) for lam in scan["lambdas"]]
     stable = [row["lambda"] for row in rows if row["stable"]]
     expect = scan.get("expect")
     assertions, passed = {}, None
@@ -819,13 +808,14 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
     plan (levels, measure, meta, flags): measure(problem, state) gives a
     marched level's (error, components), and flags follow the budget's.
     A step past the budget is a flag and a StabilityWarning naming the
-    caller, or a NumericalError under strict_cfl.
+    caller, or a NumericalError under strict_cfl. jobs is accepted and
+    ignored: every run is serial.
     """
     config = validate_config(config)
     scheme = resolve_scheme(config["time"]["integrator"])
     levels, fitted, pairwise, flags, rows = [], None, [], [], []
     if config["study"] == "stability":
-        rows, assertions, passed, meta = _scan_stability(config, scheme, jobs)
+        rows, assertions, passed, meta = _scan_stability(config, scheme)
     else:
         solution = solution_catalog()[config["solution"]]
         defect = manufactured_residual(solution, seed=config["seed"])
@@ -837,8 +827,8 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
         temporal = config["study"] == "temporal"
         sizes = [config["grid"]["n"]] if temporal else config["grid"]["levels"]
         problems = [build_problem(config, solution, n, salt=i) for i, n in enumerate(sizes)]
-        norms = _parallel_map(lambda p: operator_norm(p.op), problems, jobs)
-        mus = _parallel_map(lambda p: semiboundedness_mu(p.op), problems, jobs)
+        norms = [operator_norm(p.op) for p in problems]
+        mus = [semiboundedness_mu(p.op) for p in problems]
         for problem, mu, nrm in zip(problems, mus, norms):
             _gate_mu(problem, mu, nrm)
         budget = stability_budget(scheme)
@@ -1162,7 +1152,7 @@ def _validate_scheme(raw, solution: ManufacturedSolution | None) -> dict:
     return out
 
 
-def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
+def validate_config(doc: Mapping) -> dict:
     """Check a raw study description and return it with defaults filled.
 
     Unknown keys anywhere in the document are errors, as are values the
@@ -1171,8 +1161,6 @@ def validate_config(doc: Mapping, expect_study: str | None = None) -> dict:
     """
     out = _section("", doc, _TOP)
     study = out["study"]
-    if expect_study is not None and study != expect_study:
-        _fail("study", f"expected a {expect_study} study, got {study!r}")
     solution = solution_catalog().get(out.get("solution"))
     if solution is None and study != "stability":
         _fail("solution", "missing required key (stability scans may omit it)")

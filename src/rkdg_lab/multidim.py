@@ -70,12 +70,6 @@ class DGFunction2D:
         c = np.asarray(vec, dtype=float).reshape(n1, k1, n2, k1).transpose(0, 2, 1, 3)
         return cls(mesh, degree, c)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def __sub__(self, other: "DGFunction2D") -> "DGFunction2D":
-        return DGFunction2D(self.mesh, self.degree, self.coeffs - other.coeffs)
-
 
 def _cell_tables(mesh: Mesh1D, degree: int, npts: int):
     """Quadrature points/weights and scaled basis values on every cell."""
@@ -139,7 +133,7 @@ def assemble_advection_2d(
             + sp.kron(sp.identity(n1), a2, format="csr"))
     k1 = degree + 1
     layout = ((mesh.mesh1.n_cells, k1, mesh.mesh2.n_cells, k1), (0, 2))
-    return LinearOperator(mat.tocsr(), label=f"adv2d[{theta1:g},{theta2:g}]", layout=layout)
+    return LinearOperator(mat.tocsr(), layout=layout)
 
 
 def pi_tensor_2d(

@@ -198,15 +198,6 @@ def _saddle_factor(mesh: Mesh1D, degree: int, theta: float):
     return a, lu
 
 
-def clear_factorization_caches() -> None:
-    """Drop all cached LU factorizations (inverse saddles and
-    flux-matching systems)."""
-    with _SADDLE_LOCK:
-        _SADDLE_CACHE.clear()
-    with _PI_THETA_LOCK:
-        _PI_THETA_CACHE.clear()
-
-
 def d_theta_inverse_apply(theta: float, z: MeanZeroFunction) -> MeanZeroFunction:
     """Solve D_theta x = z with <x, 1> = 0.
 

@@ -48,9 +48,6 @@ class FourierFunction:
     def norm(self) -> float:
         return float((2.0 * np.pi) ** (self.dim / 2.0) * np.linalg.norm(self.coeffs))
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "FourierFunction":
-        return FourierFunction(self.n_max, self.dim, coeffs)
-
 
 def wavenumbers(n_max: int) -> np.ndarray:
     return np.arange(-n_max, n_max + 1)
@@ -147,17 +144,13 @@ class SymbolOperator:
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
 
-    @property
-    def n_components(self) -> int:
-        return self.a_matrices[0].shape[0]
-
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return np.matmul(self.symbols, coeffs[..., None])[..., 0]
 
     @property
     def shape(self) -> tuple[int, int]:
         """Shape of the operator on flattened coefficient arrays."""
-        size = self.symbols.size // self.n_components
+        size = self.symbols.size // self.symbols.shape[-1]
         return (size, size)
 
     def norm(self) -> float:
@@ -165,12 +158,6 @@ class SymbolOperator:
         per-mode SVD that operator_norm applies to every operator with
         symbols (exact, not an estimate)."""
         return operator_norm(self)
-
-
-def apply_symbol(op: SymbolOperator, u: FourierFunction) -> FourierFunction:
-    if u.n_max != op.n_max or u.dim != op.dim:
-        raise ValueError("function and operator live on different mode sets")
-    return u.with_coeffs(op.apply(u.coeffs))
 
 
 def skewness_defect(op: SymbolOperator, u: FourierFunction) -> float:
@@ -193,12 +180,3 @@ def analytic_profile_coefficient(n) -> np.ndarray:
     rho = 2.0 - np.sqrt(3.0)
     return (-1.0) ** np.abs(n) * rho ** np.abs(n) / np.sqrt(3.0)
 
-
-def finite_smoothness_coefficients(n_max: int, smoothness: int) -> np.ndarray:
-    """Cosine-series coefficients a_n = |n|^{-(smoothness + 1/2)} for
-    n != 0 (a_0 = 1), shaping a real even function whose truncation
-    error after n_max scales like n_max^{-smoothness}."""
-    n = wavenumbers(n_max)
-    with np.errstate(divide="ignore"):
-        a = np.where(n == 0, 1.0, np.abs(n).astype(float) ** -(smoothness + 0.5))
-    return a.astype(complex)

@@ -267,14 +267,6 @@ def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
     return _Stack(u, stops, h, bind, lambda u, j: u[starts[j]:stops[j]].reshape(shapes[j]))
 
 
-def rk_step(op, u: np.ndarray, tau: float, scheme: RKScheme) -> np.ndarray:
-    """One step u -> R(tau L) u by Horner's rule; s applications of L."""
-    u = np.asarray(u)
-    stack = _stack(_stack_kind(op, u), [op], [u])
-    stack.h[:] = tau
-    return stack.take(_horner(scheme.alphas, stack.u, stack.bind(stack.stops[0])), 0)
-
-
 class StabilityWarning(UserWarning):
     pass
 

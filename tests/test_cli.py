@@ -113,6 +113,16 @@ def test_stability_scan_runs_and_reports(tmp_path, capsys, write_config):
     assert main(["stability-scan", "--config", path, "--out", str(tmp_path)]) == 1
 
 
+def test_stability_scan_refuses_other_studies(tmp_path, capsys, write_config,
+                                             tiny_advection_config):
+    path = write_config(tiny_advection_config(), "spatial.json")
+    out = tmp_path / "out"
+    assert main(["stability-scan", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: study: expected a stability study, got 'spatial'\n"
+    assert not out.exists()
+
+
 def test_compare_semidiscrete_is_gone(write_config):
     """Every temporal study fits what the subcommand used to force, so it
     was removed: argparse refuses it."""
@@ -146,11 +156,14 @@ def test_seed_override_moves_perturbed_meshes(tmp_path, write_config, tiny_advec
     assert a != (out_c / "seeded.csv").read_text()
 
 
-def test_jobs_do_not_change_results(tmp_path, write_config, tiny_advection_config):
+def test_jobs_flag_is_gone(tmp_path, write_config, tiny_advection_config):
+    """Every run is serial, so the thread-count flag was removed: argparse
+    refuses it."""
     path = write_config(tiny_advection_config(), "par.json")
-    assert main(["converge", "--config", path, "--out", str(tmp_path / "s")]) == 0
-    assert main(["converge", "--config", path, "--out", str(tmp_path / "p"), "--jobs", "3"]) == 0
-    assert (tmp_path / "s" / "par.csv").read_text() == (tmp_path / "p" / "par.csv").read_text()
+    for command in ("converge", "stability-scan"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(tmp_path), "--jobs", "2"])
+        assert exc.value.code == 2
 
 
 def test_check_batteries_exit_zero(capsys):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -305,12 +306,6 @@ def test_validate_wave_flux_perturbation_shape():
     assert "amplitude" in str(err.value)
 
 
-def test_validate_expected_study_mismatch(tiny_advection_config):
-    with pytest.raises(ConfigError) as err:
-        validate_config(tiny_advection_config(), expect_study="stability")
-    assert "study" in str(err.value)
-
-
 def test_load_config_error_paths(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.json"))
@@ -357,7 +352,7 @@ def test_build_operator_shapes_and_scales(tiny_advection_config):
     })
     op, _, scale, _ = build_operator(spectral["scheme"], spectral["grid"], 8, spectral["seed"])
     assert scale == pytest.approx(8.0)
-    assert op.n_components == 2
+    assert op.symbols.shape[-1] == 2
 
 
 def test_build_operator_perturbed_meshes_depend_on_seed_and_salt():
@@ -476,6 +471,20 @@ def test_temporal_errors_split_the_fully_discrete_error():
         state = evolve(problem.op, problem.prepare(0.0), lv.tau, t_final, scheme).state
         full = problem.error(state, t_final)[0]
         assert abs(s - lv.error) - 1e-15 <= full <= s + lv.error + 1e-15
+
+
+@pytest.mark.parametrize(
+    "name", ["advection_upwind_k1", "semidiscrete_taylor2", "stability_taylor3_central"]
+)
+def test_run_study_starts_no_thread(monkeypatch, name):
+    """Every study runs serially; jobs is accepted and ignored."""
+
+    def refuse(self):
+        raise AssertionError(f"run_study started a thread ({self.name})")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
+    run_study(load_config(path), jobs=2)
 
 
 def _floor_flags(name: str) -> list:

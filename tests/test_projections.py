@@ -20,7 +20,6 @@ from rkdg_lab import (
     pi_theta,
     project_l2,
 )
-from rkdg_lab.projections import clear_factorization_caches
 from conftest import mixed_smooth, random_dg, sine_smooth
 
 
@@ -203,11 +202,3 @@ def test_commuting_defect_detects_mismatched_flux():
     wrong = assemble_high_order_lh(mesh, 2, 1, -1.0, theta0=0.75)
     action = lambda x: -w.deriv(1)(x)
     assert commuting_defect(wrong, proj, action, npts=10) > 1e-4
-
-
-def test_factorization_cache_can_be_cleared():
-    mesh = Mesh1D.uniform(8)
-    first = pi_theta(np.sin, mesh, 1, 0.8)
-    clear_factorization_caches()
-    second = pi_theta(np.sin, mesh, 1, 0.8)
-    np.testing.assert_allclose(first.coeffs, second.coeffs, atol=1e-14)

@@ -13,8 +13,6 @@ from rkdg_lab import (
     FourierFunction,
     SymbolOperator,
     analytic_profile,
-    apply_symbol,
-    finite_smoothness_coefficients,
     fourier_truncate,
     grid_l2_error,
     skewness_defect,
@@ -46,15 +44,6 @@ def test_truncation_recovers_analytic_coefficients():
     k = wavenumbers(12)
     ref = np.array([analytic_profile_coefficient(int(n)) for n in k], dtype=complex)
     np.testing.assert_allclose(u.coeffs[:, 0], ref, atol=1e-12)
-
-
-def test_finite_smoothness_family():
-    coeffs = finite_smoothness_coefficients(6, 2)
-    k = wavenumbers(6)
-    assert coeffs[k == 0] == 1.0
-    for n, c in zip(k, coeffs):
-        if n != 0:
-            assert c == pytest.approx(abs(n) ** -2.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -139,24 +128,6 @@ def test_skewness_defect_vanishes_for_symmetric_symbols():
     coeffs = rng.standard_normal((13, 2)) + 1j * rng.standard_normal((13, 2))
     u = FourierFunction(n_max=6, dim=1, coeffs=coeffs)
     assert skewness_defect(op, u) < 1e-13
-
-
-def test_apply_symbol_checks_mode_sets():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    op = SymbolOperator(n_max=6, dim=1, a_matrices=(a,))
-    rng = np.random.default_rng(4)
-    u = FourierFunction(
-        n_max=5, dim=1,
-        coeffs=rng.standard_normal((11, 2)) + 0j,
-    )
-    with pytest.raises(ValueError):
-        apply_symbol(op, u)
-    v = FourierFunction(
-        n_max=6, dim=1,
-        coeffs=rng.standard_normal((13, 2)) + 0j,
-    )
-    w = apply_symbol(op, v)
-    assert w.n_max == 6 and w.coeffs.shape == (13, 2)
 
 
 def test_symbol_operator_uses_every_coefficient_matrix():

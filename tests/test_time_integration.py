@@ -39,7 +39,6 @@ from rkdg_lab import (
     load_config,
     operator_norm,
     resolve_scheme,
-    rk_step,
     run_study,
     sigma_factor,
     solution_catalog,
@@ -125,13 +124,14 @@ def diagonal(lam, n=1):
 
 
 def test_rk_step_is_stability_polynomial_on_scalars():
+    """One step, a one-step evolve, multiplies a scalar state by R(tau lam)."""
     lam = -0.7
-    op = diagonal(lam)
     scheme = resolve_scheme("rk4")
     tau = 0.3
-    u = rk_step(op, np.array([2.0]), tau, scheme)
+    res = evolve(diagonal(lam), np.array([2.0]), tau, tau, scheme)
+    assert res.n_steps == 1
     expected = 2.0 * scheme.amplification(np.array([tau * lam + 0j]))[0].real
-    assert abs(u[0] - expected) < 1e-14
+    assert abs(res.state[0] - expected) < 1e-14
 
 
 def test_evolve_step_snapping():
@@ -293,6 +293,8 @@ def test_evolve_is_plain_horner_on_a_symbol_operator():
 
 @pytest.mark.parametrize("kind", ["operator", "system"])
 def test_rk_step_is_plain_horner(kind):
+    """One two_step_rk4 step, a one-step evolve, is the plain Horner sweep
+    on a sparse operator and on a two-field system."""
     if kind == "operator":
         op, tau = ultraweak_k3(8)
     else:  # a two-field system
@@ -300,18 +302,21 @@ def test_rk_step_is_plain_horner(kind):
         tau = 1.0 / operator_norm(op)
     u = np.random.default_rng(7).standard_normal(op.n)
     scheme = resolve_scheme("two_step_rk4")
-    got = rk_step(op, u, tau, scheme)
-    assert np.array_equal(got, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
+    got = evolve(op, u, tau, tau, scheme)
+    assert got.n_steps == 1
+    assert np.array_equal(got.state, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
 
 
 def test_rk_step_kernel_benchmark(benchmark):
-    """One ssp3 step on the ultraweak_k3 operator at n = 20 (80 dofs), the
-    finest level of the study that takes the most steps."""
+    """One ssp3 step, a one-step evolve, on the ultraweak_k3 operator at
+    n = 20 (80 dofs), the finest level of the study that takes the most
+    steps."""
     op, tau = ultraweak_k3(20)
     u = np.random.default_rng(8).standard_normal(op.n)
     scheme = resolve_scheme("ssp3")
-    got = benchmark.pedantic(rk_step, args=(op, u, tau, scheme), rounds=20, iterations=50)
-    assert np.array_equal(got, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
+    got = benchmark.pedantic(evolve, args=(op, u, tau, tau, scheme), rounds=20, iterations=50)
+    assert got.n_steps == 1
+    assert np.array_equal(got.state, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
 
 
 # ---------------------------------------------------------------------------
