@@ -145,14 +145,9 @@ def cell_layout(fields: int, n_cells: int, degree: int) -> tuple:
     return ((fields, n_cells, degree + 1), (1,))
 
 
-def _mode_stack(symbols: np.ndarray) -> np.ndarray:
-    """Per-mode matrices flattened to shape (modes, m, m)."""
-    return np.reshape(symbols, (-1,) + symbols.shape[-2:])
-
-
 def _mode_norms(symbols: np.ndarray) -> np.ndarray:
     """Spectral norm of every per-mode matrix, by one batched SVD."""
-    return np.linalg.norm(_mode_stack(symbols), 2, axis=(-2, -1))
+    return np.linalg.norm(symbols, 2, axis=(-2, -1))
 
 
 def _circulant_defect(mat: sp.csr_matrix, layout: tuple) -> tuple[np.ndarray, float, float]:
@@ -414,8 +409,7 @@ def semiboundedness_mu(op) -> float:
     degenerate cluster at zero, where ARPACK's relative stopping test
     cannot settle."""
     if op.symbols is not None:
-        stack = _mode_stack(op.symbols)
-        herm = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+        herm = 0.5 * (op.symbols + np.conj(np.swapaxes(op.symbols, -1, -2)))
         return float(np.max(np.linalg.eigvalsh(herm)))
     sym = (0.5 * (op.mat + op.mat.T)).tocsr()
     shift = float(np.max(np.abs(sym).sum(axis=1))) or 1.0

@@ -375,7 +375,7 @@ def build_operator(
     family = scheme["family"]
     if family == "spectral":
         a = _COUPLINGS[scheme["coupling"]]
-        op = SymbolOperator(n, 1, (a,))
+        op = SymbolOperator(n, a)
         return op, (), float(n), {}
     degree = scheme["degree"]
     if family == "advection2d":
@@ -438,10 +438,10 @@ def build_problem(
             return f
 
         def prepare(t: float = 0.0):
-            return fourier_truncate(stacked(t), n, dim=1).coeffs
+            return fourier_truncate(stacked(t), n).coeffs
 
         def error(state, t: float):
-            u = FourierFunction(n, 1, np.asarray(state))
+            u = FourierFunction(n, np.asarray(state))
             e = grid_l2_error(u, stacked(t))
             return e, {"all": e}
 

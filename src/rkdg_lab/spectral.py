@@ -1,16 +1,15 @@
 """Fourier-side tools: truncated series, symbol operators for
 first-order symmetric systems, and spectrally accurate error measures.
 
-A FourierFunction stores coefficients a_k for |k_i| <= n_max on the
-periodic box [0, 2pi)^d with m components; index order is
-(k_1 [+n_max], ..., k_d [+n_max], component). The L2 norm is
-(2 pi)^{d/2} times the coefficient norm.
+A FourierFunction stores coefficients a_k for |k| <= n_max on the
+periodic interval [0, 2pi) with m components, as an array of shape
+(2 n_max + 1, m) indexed by (k + n_max, component). The L2 norm is
+sqrt(2 pi) times the coefficient norm.
 
-The symbol operator for u_t + sum_i A_i du/dx_i = 0 with symmetric A_i
-multiplies mode k by -i (sum_i k_i A_i); it is skew-Hermitian mode by
-mode, so the exact evolution is an isometry and every deviation in a
-fully discrete run is attributable to the time discretization and the
-initial truncation.
+The symbol operator for u_t + A u_x = 0 with symmetric A multiplies
+mode k by -i k A; it is skew-Hermitian mode by mode, so the exact
+evolution is an isometry and every deviation in a fully discrete run is
+attributable to the time discretization and the initial truncation.
 """
 
 from __future__ import annotations
@@ -26,16 +25,14 @@ from .dg_ops1d import operator_norm
 @dataclass(frozen=True)
 class FourierFunction:
     n_max: int
-    dim: int
-    coeffs: np.ndarray  # (2*n_max+1,)*dim + (m,)
+    coeffs: np.ndarray  # (2*n_max+1, m)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        side = 2 * self.n_max + 1
-        if c.shape[: self.dim] != (side,) * self.dim or c.ndim != self.dim + 1:
+        if c.ndim != 2 or len(c) != 2 * self.n_max + 1:
             raise ValueError(
                 f"coefficient array has shape {c.shape}, expected "
-                f"{(side,) * self.dim} + (components,)"
+                f"({2 * self.n_max + 1}, components)"
             )
         c = c.copy()
         c.setflags(write=False)
@@ -46,57 +43,44 @@ class FourierFunction:
         return self.coeffs.shape[-1]
 
     def norm(self) -> float:
-        return float((2.0 * np.pi) ** (self.dim / 2.0) * np.linalg.norm(self.coeffs))
+        return float((2.0 * np.pi) ** 0.5 * np.linalg.norm(self.coeffs))
 
 
 def wavenumbers(n_max: int) -> np.ndarray:
     return np.arange(-n_max, n_max + 1)
 
 
-def _grid_values(f: Callable, n_pts: int, dim: int) -> np.ndarray:
-    """f on the uniform n_pts^dim grid of [0, 2pi)^dim, shape
-    (n_pts,)*dim + (components,). f takes one flat coordinate array per
-    direction; a plain flat return is read as a single component."""
+def _grid_values(f: Callable, n_pts: int) -> np.ndarray:
+    """f on the uniform n_pts grid of [0, 2pi), shape (n_pts, components);
+    a plain (n_pts,) return is read as a single component."""
     x = 2.0 * np.pi * np.arange(n_pts) / n_pts
-    grids = np.meshgrid(*[x] * dim, indexing="ij")
-    vals = np.asarray(f(*(g.reshape(-1) for g in grids)), dtype=complex)
-    return vals.reshape((n_pts,) * dim + (-1,))
+    return np.asarray(f(x), dtype=complex).reshape(n_pts, -1)
 
 
-def fourier_truncate(
-    f: Callable,
-    n_max: int,
-    dim: int = 1,
-    n_samples: int | None = None,
-) -> FourierFunction:
-    """Coefficients a_k for |k_i| <= n_max by FFT on a uniform grid.
+def fourier_truncate(f: Callable, n_max: int, n_samples: int | None = None) -> FourierFunction:
+    """Coefficients a_k for |k| <= n_max by FFT on a uniform grid.
 
-    The default grid has 4 n_max + 5 points per direction, so the result
-    is alias-free for band-limited data up to 3 n_max + 4 and the
-    aliasing floor for smooth data sits far below the truncation error.
-    f maps coordinate arrays to shape (..., m) for m components (a plain
-    (...) return is read as a single component).
+    The default grid has 4 n_max + 5 points, so the result is alias-free
+    for band-limited data up to 3 n_max + 4 and the aliasing floor for
+    smooth data sits far below the truncation error. f maps a coordinate
+    array to shape (..., m) for m components (a plain (...) return is
+    read as a single component).
     """
-    if dim not in (1, 2):
-        raise ValueError("only dim 1 and 2 are supported")
     n_pts = (4 * n_max + 5) if n_samples is None else n_samples
     if n_pts < 2 * n_max + 1:
-        raise ValueError("need at least 2*n_max + 1 samples per direction")
-    vals = _grid_values(f, n_pts, dim)
-    spec = np.fft.fftn(vals, axes=tuple(range(dim))) / n_pts**dim
-    idx = wavenumbers(n_max) % n_pts
-    return FourierFunction(n_max, dim, spec[np.ix_(*[idx] * dim)])
+        raise ValueError("need at least 2*n_max + 1 samples")
+    spec = np.fft.fft(_grid_values(f, n_pts), axis=0) / n_pts
+    return FourierFunction(n_max, spec[wavenumbers(n_max) % n_pts])
 
 
 def evaluate_on_grid(u: FourierFunction, n_pts: int) -> np.ndarray:
-    """Values on the uniform n_pts^dim grid by zero-padded inverse FFT
-    (exact synthesis, no aliasing). Shape (n_pts,)*dim + (m,)."""
+    """Values on the uniform n_pts grid by zero-padded inverse FFT
+    (exact synthesis, no aliasing). Shape (n_pts, m)."""
     if n_pts < 2 * u.n_max + 1:
         raise ValueError("grid too coarse to hold the spectrum")
-    spec = np.zeros((n_pts,) * u.dim + (u.n_components,), dtype=complex)
-    idx = wavenumbers(u.n_max) % n_pts
-    spec[np.ix_(*[idx] * u.dim)] = u.coeffs
-    return np.fft.ifftn(spec, axes=tuple(range(u.dim))) * n_pts**u.dim
+    spec = np.zeros((n_pts, u.n_components), dtype=complex)
+    spec[wavenumbers(u.n_max) % n_pts] = u.coeffs
+    return np.fft.ifft(spec, axis=0) * n_pts
 
 
 def grid_l2_error(u: FourierFunction, exact: Callable, n_pts: int | None = None) -> float:
@@ -104,44 +88,34 @@ def grid_l2_error(u: FourierFunction, exact: Callable, n_pts: int | None = None)
     grid (spectrally accurate for smooth periodic integrands)."""
     n_pts = max(128, 4 * u.n_max + 9) if n_pts is None else n_pts
     vals = evaluate_on_grid(u, n_pts)
-    ev = _grid_values(exact, n_pts, u.dim)
-    cell = (2.0 * np.pi / n_pts) ** u.dim
-    return float(np.sqrt(cell * np.sum(np.abs(vals - ev) ** 2)))
+    ev = _grid_values(exact, n_pts)
+    return float(np.sqrt(2.0 * np.pi / n_pts * np.sum(np.abs(vals - ev) ** 2)))
 
 
 @dataclass(frozen=True)
 class SymbolOperator:
-    """Mode-diagonal operator a_k -> -i (sum_i k_i A_i) a_k.
+    """Mode-diagonal operator a_k -> -i k A a_k.
 
-    symbols[k-index..., :, :] holds the per-mode matrix, precomputed at
-    construction. apply acts directly on coefficient arrays of shape
-    (2 n_max + 1,)*dim + (m,), so time steppers treat states as plain
-    arrays.
+    symbols[k + n_max] holds the per-mode matrix, precomputed at
+    construction in the (modes, m, m) layout of LinearOperator.symbols.
+    apply acts directly on coefficient arrays of shape (2 n_max + 1, m),
+    so time steppers treat states as plain arrays.
     """
 
     n_max: int
-    dim: int
-    a_matrices: tuple
+    a: np.ndarray
     symbols: np.ndarray = None  # filled in __post_init__
 
     def __post_init__(self):
-        mats = tuple(np.asarray(a, dtype=float) for a in self.a_matrices)
-        if len(mats) != self.dim:
-            raise ValueError(f"need {self.dim} coefficient matrices, got {len(mats)}")
-        m = mats[0].shape[0]
-        for a in mats:
-            if a.shape != (m, m):
-                raise ValueError("coefficient matrices must share one square shape")
-            if np.abs(a - a.T).max() > 1e-14 * max(1.0, np.abs(a).max()):
-                raise ValueError("coefficient matrices must be symmetric")
-        object.__setattr__(self, "a_matrices", mats)
+        a = np.asarray(self.a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"the coefficient matrix must be square, got shape {a.shape}")
+        if np.abs(a - a.T).max() > 1e-14 * max(1.0, np.abs(a).max()):
+            raise ValueError("the coefficient matrix must be symmetric")
         k = wavenumbers(self.n_max).astype(float)
-        grids = np.meshgrid(*[k] * self.dim, indexing="ij")
-        sym = grids[0][..., None, None] * mats[0]
-        for kk, a in zip(grids[1:], mats[1:]):
-            sym = sym + kk[..., None, None] * a
-        sym = -1j * sym
+        sym = -1j * (k[:, None, None] * a)
         sym.setflags(write=False)
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "symbols", sym)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
@@ -154,16 +128,16 @@ class SymbolOperator:
         return (size, size)
 
     def norm(self) -> float:
-        """max over modes of the spectral norm of sum k_i A_i, by the
-        per-mode SVD that operator_norm applies to every operator with
-        symbols (exact, not an estimate)."""
+        """max over modes of the spectral norm of k A, by the per-mode
+        SVD that operator_norm applies to every operator with symbols
+        (exact, not an estimate)."""
         return operator_norm(self)
 
 
 def skewness_defect(op: SymbolOperator, u: FourierFunction) -> float:
-    """|Re <L u, u>| / |u|^2; zero up to roundoff for symmetric A_i."""
+    """|Re <L u, u>| / |u|^2; zero up to roundoff for symmetric A."""
     lu = op.apply(u.coeffs)
-    inner = (2.0 * np.pi) ** op.dim * np.vdot(u.coeffs, lu)
+    inner = 2.0 * np.pi * np.vdot(u.coeffs, lu)
     return float(abs(inner.real) / max(u.norm() ** 2, 1e-300))
 
 

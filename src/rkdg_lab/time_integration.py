@@ -42,7 +42,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .core_fem import NumericalError
-from .dg_ops1d import LinearOperator, _mode_stack
+from .dg_ops1d import LinearOperator
 from .spectral import SymbolOperator
 
 #: Unknowns up to which the operators without symbols (perturbed meshes)
@@ -217,11 +217,10 @@ def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
     matmul multiplies each on its own. `out *= h` is then the IEEE
     product `tau * (L v)` row by row.
     """
-    shapes = [u.shape for u in states]
+    u = np.concatenate(states)
+    stops = list(accumulate(len(s) for s in states))
     if kind == "csr":
         mats = [op.mat for op in ops]
-        u = np.concatenate(states)
-        stops = list(accumulate(len(s) for s in states))
         spans = [(int(m.indptr[0]), int(m.indptr[-1])) for m in mats]
         if len(mats) == 1 and spans[0][0] == 0:  # one level needs no offsets
             indptr, indices, data = mats[0].indptr, mats[0].indices, mats[0].data
@@ -247,10 +246,7 @@ def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
 
             return apply
     else:
-        m = kind[1]
-        mats = np.concatenate([op.symbols.reshape(-1, m, m) for op in ops])
-        u = np.concatenate([s.reshape(-1, m) for s in states])
-        stops = list(accumulate(s.size // m for s in states))
+        mats = np.concatenate([op.symbols for op in ops])
 
         def bind(rows: int) -> Callable:
             mr, hr = mats[:rows], h[:rows, None]
@@ -264,7 +260,7 @@ def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
 
     h = np.empty(stops[-1])
     starts = [0] + stops[:-1]
-    return _Stack(u, stops, h, bind, lambda u, j: u[starts[j]:stops[j]].reshape(shapes[j]))
+    return _Stack(u, stops, h, bind, lambda u, j: u[starts[j]:stops[j]])
 
 
 class StabilityWarning(UserWarning):
@@ -447,10 +443,7 @@ def amplification_norm(op, scheme: RKScheme, tau: float) -> float:
     one batched Horner sweep and the largest per-mode norm is returned.
     Other operators are evaluated densely, up to DENSE_LIMIT unknowns.
     """
-    if op.symbols is not None:
-        stack = _mode_stack(op.symbols)
-    else:
-        stack = _dense(op, "the amplification norm")[None]
+    stack = op.symbols if op.symbols is not None else _dense(op, "the amplification norm")[None]
     eye = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape)
     r = _horner(scheme.alphas, eye, lambda v: tau * (stack @ v))
     return float(np.linalg.norm(r, 2, axis=(-2, -1)).max())

@@ -216,20 +216,37 @@ def test_criterion_7_stability_scans():
     )
 
 
+# spectral_wave_analytic's level errors and semilog slope, pinned so that
+# a change to truncation, synthesis or the symbol march shows here.
+SPECTRAL_ERRORS = (
+    2.9341683571729015e-03, 2.1066380987284537e-04, 1.5124981046707074e-05,
+    1.0859247813130132e-06, 7.796589148496795e-08,
+)
+SPECTRAL_SLOPE = -1.3169578968934734
+
+
 def test_criterion_8_spectral_resolution():
     """The Fourier study decays geometrically in the mode cutoff at the
-    profile's analyticity rate, and the symbol operator is exactly skew."""
+    profile's analyticity rate, its errors and slope hold their pinned
+    values to 1e-9 relative, and the symbol operator is exactly skew."""
     result = study("spectral_wave_analytic")
     slope = result.fitted_rate
     target = -math.acosh(2.0)
+    errors = [lv.error for lv in result.levels]
+    pinned = len(errors) == len(SPECTRAL_ERRORS) and all(
+        math.isclose(e, ref, rel_tol=1e-9, abs_tol=0.0)
+        for e, ref in zip(errors + [slope], SPECTRAL_ERRORS + (SPECTRAL_SLOPE,))
+    )
     rng = np.random.default_rng(2)
-    op = SymbolOperator(n_max=8, dim=1, a_matrices=(np.array([[0.0, 1.0], [1.0, 0.0]]),))
-    u = FourierFunction(8, 1, rng.standard_normal((17, 2)) + 1j * rng.standard_normal((17, 2)))
+    op = SymbolOperator(n_max=8, a=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    u = FourierFunction(8, rng.standard_normal((17, 2)) + 1j * rng.standard_normal((17, 2)))
     defect = skewness_defect(op, u)
-    ok = result.passed is True and abs(slope - target) <= 0.05 and defect <= 1e-13
+    ok = result.passed is True and abs(slope - target) <= 0.05 and pinned and defect <= 1e-13
     emit(
         8, "spectral resolution study", ok,
-        f"slope {slope:.4f} within 0.05 of {target:.4f}, skewness {defect:.2e} <= 1e-13",
+        f"slope {slope:.4f} within 0.05 of {target:.4f}, pins to 1e-9 "
+        f"{'held' if pinned else f'broken by errors {errors} and slope {slope!r}'}, "
+        f"skewness {defect:.2e} <= 1e-13",
     )
 
 

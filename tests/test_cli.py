@@ -8,7 +8,6 @@ failures and red check batteries.
 import json
 import os
 
-import numpy as np
 import pytest
 import scipy.io
 

@@ -14,7 +14,6 @@ from rkdg_lab import (
     composed_projection,
     d_theta_inverse_apply,
     d_theta_inverse_norm,
-    high_order_flux_sequence,
     make_mean_zero,
     mean_value,
     pi_theta,

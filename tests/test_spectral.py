@@ -56,7 +56,7 @@ def test_norm_matches_grid_quadrature():
     grid sum reproduces exactly for a trigonometric polynomial."""
     rng = np.random.default_rng(12)
     coeffs = rng.standard_normal((9, 1)) + 1j * rng.standard_normal((9, 1))
-    u = FourierFunction(n_max=4, dim=1, coeffs=coeffs)
+    u = FourierFunction(n_max=4, coeffs=coeffs)
     vals = evaluate_on_grid(u, 64)
     quad = np.sqrt(2.0 * np.pi * np.mean(np.abs(vals) ** 2))
     np.testing.assert_allclose(u.norm(), quad, rtol=1e-12)
@@ -84,6 +84,27 @@ def test_band_limited_truncation_is_exact():
     np.testing.assert_allclose(u.coeffs[:, 0], coeffs, atol=1e-13)
 
 
+def test_two_component_truncation_synthesis_and_error():
+    """f = (sin 2x, 1 + 0.4 cos x) has modes -i/2 at 2 and i/2 at -2 in
+    its first component, and 1 at 0 and 0.2 at +-1 in its second."""
+
+    def f(x):
+        return np.stack([np.sin(2.0 * x), 1.0 + 0.4 * np.cos(x)], axis=-1)
+
+    u = fourier_truncate(f, 3)
+    assert u.coeffs.shape == (7, 2)
+    ref = np.zeros((7, 2), dtype=complex)
+    ref[3 + 2, 0], ref[3 - 2, 0] = -0.5j, 0.5j
+    ref[3, 1], ref[3 + 1, 1], ref[3 - 1, 1] = 1.0, 0.2, 0.2
+    np.testing.assert_allclose(u.coeffs, ref, rtol=0, atol=1e-14)
+
+    x = 2.0 * np.pi * np.arange(16) / 16
+    vals = evaluate_on_grid(u, 16)
+    assert vals.shape == (16, 2)
+    np.testing.assert_allclose(vals, f(x), rtol=0, atol=1e-13)
+    assert grid_l2_error(u, f) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Symbol operators
 # ---------------------------------------------------------------------------
@@ -91,7 +112,7 @@ def test_band_limited_truncation_is_exact():
 
 def test_symbol_apply_matches_mode_by_mode_product():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    op = SymbolOperator(n_max=5, dim=1, a_matrices=(a,))
+    op = SymbolOperator(n_max=5, a=a)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal((11, 2)) + 1j * rng.standard_normal((11, 2))
     got = op.apply(coeffs)
@@ -102,67 +123,35 @@ def test_symbol_apply_matches_mode_by_mode_product():
     np.testing.assert_allclose(got, ref, atol=1e-14)
 
 
+def test_symbol_operator_builds_minus_i_k_a_per_mode():
+    """symbols has the (modes, m, m) layout of LinearOperator.symbols,
+    and mode k holds -i k A exactly."""
+    a = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, -1.0], [0.0, -1.0, 0.0]])
+    op = SymbolOperator(n_max=2, a=a)
+    assert op.symbols.shape == (5, 3, 3)
+    assert op.shape == (15, 15)
+    for i, k in enumerate(wavenumbers(2)):
+        np.testing.assert_array_equal(op.symbols[i], -1j * (float(k) * a))
+
+
 def test_symbol_norm_closed_form():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues +-1
-    op = SymbolOperator(n_max=7, dim=1, a_matrices=(a,))
+    op = SymbolOperator(n_max=7, a=a)
     assert op.norm() == pytest.approx(7.0, rel=1e-13)
-    # two anticommuting symbols: |k1 A1 + k2 A2| = sqrt(k1^2 + k2^2)
-    b = np.array([[1.0, 0.0], [0.0, -1.0]])
-    op2 = SymbolOperator(n_max=4, dim=2, a_matrices=(a, b))
-    assert op2.norm() == pytest.approx(4.0 * np.sqrt(2.0), rel=1e-12)
 
 
 def test_symbol_operator_rejects_bad_coefficient_matrices():
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        SymbolOperator(n_max=3, dim=1, a_matrices=(asym,))
-    good = np.eye(2)
+        SymbolOperator(n_max=3, a=asym)
     with pytest.raises(ValueError):
-        SymbolOperator(n_max=3, dim=2, a_matrices=(good,))
+        SymbolOperator(n_max=3, a=np.zeros((2, 3)))
 
 
 def test_skewness_defect_vanishes_for_symmetric_symbols():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    op = SymbolOperator(n_max=6, dim=1, a_matrices=(a,))
+    op = SymbolOperator(n_max=6, a=a)
     rng = np.random.default_rng(4)
     coeffs = rng.standard_normal((13, 2)) + 1j * rng.standard_normal((13, 2))
-    u = FourierFunction(n_max=6, dim=1, coeffs=coeffs)
+    u = FourierFunction(n_max=6, coeffs=coeffs)
     assert skewness_defect(op, u) < 1e-13
-
-
-def test_symbol_operator_uses_every_coefficient_matrix():
-    """At dim 3 the symbol of mode (k1, k2, k3) is -i (k1 A1 + k2 A2 + k3 A3)."""
-    a1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    a2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-    a3 = np.array([[2.0, 0.5], [0.5, 3.0]])
-    op = SymbolOperator(n_max=2, dim=3, a_matrices=(a1, a2, a3))
-    assert op.symbols.shape == (5, 5, 5, 2, 2)
-    k = wavenumbers(2)
-    for i1, k1 in enumerate(k):
-        for i2, k2 in enumerate(k):
-            for i3, k3 in enumerate(k):
-                ref = -1j * (k1 * a1 + k2 * a2 + k3 * a3)
-                np.testing.assert_allclose(op.symbols[i1, i2, i3], ref, atol=1e-14)
-
-
-def test_two_dimensional_truncation_synthesis_and_error():
-    """f = sin(x1 + 2 x2) + 0.4 cos(x2) has four nonzero modes: -i/2 at
-    (1, 2), i/2 at (-1, -2) and 0.2 at (0, +-1)."""
-
-    def f(x1, x2):
-        return np.sin(x1 + 2.0 * x2) + 0.4 * np.cos(x2)
-
-    u = fourier_truncate(f, 3, dim=2)
-    assert u.coeffs.shape == (7, 7, 1)
-    ref = np.zeros((7, 7), dtype=complex)
-    ref[3 + 1, 3 + 2] = -0.5j
-    ref[3 - 1, 3 - 2] = 0.5j
-    ref[3, 3 + 1] = ref[3, 3 - 1] = 0.2
-    np.testing.assert_allclose(u.coeffs[..., 0], ref, rtol=0, atol=1e-14)
-
-    x = 2.0 * np.pi * np.arange(16) / 16
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    vals = evaluate_on_grid(u, 16)
-    assert vals.shape == (16, 16, 1)
-    np.testing.assert_allclose(vals[..., 0], f(xx, yy), rtol=0, atol=1e-13)
-    assert grid_l2_error(u, f) < 1e-13

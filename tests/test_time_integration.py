@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
@@ -194,7 +194,7 @@ def test_evolve_refuses_any_other_operator_and_state():
     """A march takes a LinearOperator on a real vector or a SymbolOperator
     on its complex coefficients, and nothing else."""
     op, euler = diagonal(-1.0, 4), resolve_scheme("euler")
-    symbol = SymbolOperator(3, 1, (EXCHANGE,))
+    symbol = SymbolOperator(3, EXCHANGE)
     real_coeffs = np.ones(symbol.symbols.shape[:-1])
     for level in [(lambda v: -v, np.ones(4)), (op, np.ones(4, dtype=complex)),
                   (symbol, real_coeffs)]:
@@ -283,7 +283,7 @@ def test_evolve_is_plain_horner_on_a_real_sparse_operator():
 def test_evolve_is_plain_horner_on_a_symbol_operator():
     """The reference applies the symbols by einsum, the formulation the
     matmul in SymbolOperator.apply must match."""
-    op = SymbolOperator(6, 1, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
+    op = SymbolOperator(6, np.array([[0.0, 1.0], [1.0, 0.0]]))
     rng = np.random.default_rng(5)
     shape = op.symbols.shape[:-1]
     u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -325,13 +325,17 @@ def test_rk_step_kernel_benchmark(benchmark):
 
 T_LOCKSTEP = 0.3
 EXCHANGE = np.array([[0.0, 1.0], [1.0, 0.5]])
+# One nonzero per row, so the einsum oracle sums each row exactly as
+# matmul does, in any order.
+COUPLING3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def lockstep_level(kind, n, rng):
     """(op, initial state, plain apply_l) of one level of the given kind
-    on n cells (n modes for the symbol operator)."""
-    if kind == "symbol":
-        op = SymbolOperator(n, 1, (EXCHANGE,))
+    on n cells (n modes for the symbol operators, whose 2- and
+    3-component levels march as two mode groups)."""
+    if kind in ("symbol", "symbol3"):
+        op = SymbolOperator(n, EXCHANGE if kind == "symbol" else COUPLING3)
         shape = op.symbols.shape[:-1]
         u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return op, u0, lambda v: np.einsum("...ij,...j->...i", op.symbols, v)
@@ -355,7 +359,7 @@ def plain_march(apply_l, u0, res, alphas):
 @given(
     levels=st.lists(
         st.tuples(
-            st.sampled_from(["uniform", "perturbed", "system", "symbol"]),
+            st.sampled_from(["uniform", "perturbed", "system", "symbol", "symbol3"]),
             st.integers(3, 9),  # cells or modes
             st.sampled_from([1, 2, 3, 5, 8]),  # steps
             st.booleans(),  # the last step is short
@@ -366,10 +370,14 @@ def plain_march(apply_l, u0, res, alphas):
     scheme=st.sampled_from(["euler", "ssp3", "rk4", "two_step_rk4"]),
     record=st.booleans(),
 )
+# One call with a CSR group and two mode groups, ("modes", 2) and ("modes", 3).
+@example(levels=[("symbol3", 5, 3, True), ("uniform", 4, 2, False), ("symbol", 4, 2, False),
+                 ("symbol3", 3, 1, False)], scheme="rk4", record=True)
 def test_lockstep_march_is_bitwise_the_per_level_march(levels, scheme, record):
     """Levels whose step counts tie, differ and end on a short step, on
-    uniform and perturbed meshes, a two-field system and a symbol
-    operator, march together exactly as each marches alone."""
+    uniform and perturbed meshes, a two-field system and symbol operators
+    with 2 and 3 components, march together exactly as each marches
+    alone."""
     rng = np.random.default_rng(len(levels))
     scheme = resolve_scheme(scheme)
     built = [lockstep_level(kind, n, rng) for kind, n, _, _ in levels]
@@ -456,7 +464,7 @@ def test_expm_reference_matches_eigendecomposition():
 
 def test_expm_reference_refuses_a_symbol_operator():
     """A SymbolOperator has no matrix for expm_multiply to act on."""
-    op = SymbolOperator(3, 1, (EXCHANGE,))
+    op = SymbolOperator(3, EXCHANGE)
     with pytest.raises(ValueError, match="temporal studies need a matrix operator"):
         expm_reference(op, 1.0, np.ones(op.symbols.shape[:-1], dtype=complex))
 
@@ -615,7 +623,7 @@ def test_amplification_norm_on_symbol_operator():
     |R(+- i tau k)| over the modes. tau * n_max lies past the rk4
     stability boundary, so the maximum is not the trivial k = 0 value."""
     n_max, tau = 6, 0.55
-    op = SymbolOperator(n_max, 1, (np.array([[0.0, 1.0], [1.0, 0.0]]),))
+    op = SymbolOperator(n_max, np.array([[0.0, 1.0], [1.0, 0.0]]))
     scheme = resolve_scheme("rk4")
     k = np.arange(-n_max, n_max + 1)
     ref = np.max(np.abs(scheme.amplification(np.concatenate([1j * tau * k, -1j * tau * k]))))
