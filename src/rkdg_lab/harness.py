@@ -1,7 +1,9 @@
 """Study drivers for the discretizations in this package.
 
 This module owns four jobs. It fixes a small catalog of closed-form
-solutions together with the evolution operator each one satisfies; it
+solutions, each a sum of travelling waves per field, together with the
+continuous operator L of each family, and checks before every study
+that the solution's u_t equals L u (meta.manufactured_residual); it
 runs every study through one runner, run_study, which assembles the
 discrete problems, marches all their levels in one lockstep batch with
 the requested integrator, fits convergence rates and applies the
@@ -118,204 +120,130 @@ class RateAssertionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# Profile name -> f(theta, n), the n-th derivative of the profile at theta.
+# The analytic profile 1 / (2 + cos theta) supplies orders 0 and 1. The
+# sine skips its zero shift at n = 0, which would cost one more array.
+_PROFILES = {
+    "sin": lambda theta, n: np.sin(theta + 0.5 * n * np.pi if n else theta),
+    "analytic": lambda theta, n: (
+        analytic_profile(theta) if n == 0 else np.sin(theta) / (2.0 + np.cos(theta)) ** 2
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Wave:
+    """The travelling wave c exp(-decay t) f(k . x - omega t), with f the
+    profile of that name in _PROFILES."""
+
+    c: float
+    omega: float
+    k: tuple = (1.0,)
+    decay: float = 0.0
+    profile: str = "sin"
+
+    def __call__(self, xs, t, orders=(0,), dt: bool = False):
+        """The wave at coordinates xs (one array per dimension) and time t,
+        its x-derivative of the given orders, or with dt its t-derivative."""
+        # In-place updates keep at most two point-sized arrays alive, which
+        # matters on a 2D level's tens of thousands of quadrature points.
+        theta = self.k[0] * xs[0]
+        for kj, xj in zip(self.k[1:], xs[1:]):
+            theta += kj * xj
+        theta = theta - self.omega * t
+        amp = self.c * np.exp(-self.decay * t)
+        f = _PROFILES[self.profile]
+        if dt:
+            return amp * (-self.decay * f(theta, 0) - self.omega * f(theta, 1))
+        value = f(theta, sum(orders))
+        value *= math.prod(kj**o for kj, o in zip(self.k, orders))
+        value *= amp
+        return value
+
+
 @dataclass(frozen=True)
 class ManufacturedSolution:
     """A closed-form solution of u_t = L u on the periodic domain.
 
-    components, time_derivatives and operator_actions hold one callable
-    per field; the last two are written independently of each other so
-    that manufactured_residual can cross-check them. profile exists for
-    the scalar problems and maps a time to a SmoothFunction with enough
-    x-derivatives for the structure-preserving projections. params pins
-    the parts of the discretization that the solution identity fixes
-    (the derivative order q and the sign beta, for instance) and
-    supplies soft defaults for the rest.
+    fields holds one tuple of Waves per field, summed; an empty tuple is
+    the zero field. Values, x-derivatives and the t-derivative all come
+    from the waves, and manufactured_residual checks the t-derivative
+    against the family's continuous L in _PDE. params pins the parts of
+    the discretization that the solution identity fixes (the derivative
+    order q and the sign beta, for instance) and supplies soft defaults
+    for the rest.
     """
 
     name: str
     family: str
-    dim: int
-    components: tuple
-    time_derivatives: tuple
-    operator_actions: tuple
-    profile: Callable | None = None
+    fields: tuple
     params: Mapping[str, Any] = field(default_factory=dict)
 
+    @property
+    def dim(self) -> int:
+        return len(next(w for waves in self.fields for w in waves).k)
 
-def _trig(kind: str, speed: float, scale: float = 1.0, decay: float = 0.0) -> Callable:
-    """Closure for scale * exp(-decay t) * sin/cos(x - speed t)."""
-    base = np.sin if kind == "sin" else np.cos
+    def evaluate(self, i: int, xs, t, orders=(0,), dt: bool = False):
+        """Field i at coordinates xs and time t, its x-derivative of the
+        given orders, or with dt its t-derivative."""
+        if not self.fields[i]:
+            return np.zeros(np.broadcast(*xs, t).shape)
+        first, *rest = (w(xs, t, orders, dt) for w in self.fields[i])
+        return sum(rest, first)
 
-    def f(x, t, base=base, speed=speed, scale=scale, decay=decay):
-        amp = scale * np.exp(-decay * np.asarray(t, dtype=float))
-        return amp * base(np.asarray(x, dtype=float) - speed * np.asarray(t, dtype=float))
+    def at(self, i: int, t: float) -> Callable:
+        """Field i at time t as a function of the coordinates."""
+        return lambda *xs: self.evaluate(i, xs, t)
 
-    return f
-
-
-def _zero_field(x, t):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _sine_profile(speed: float, decay: float = 0.0, offset: float = 0.0) -> Callable:
-    """SmoothFunction factory for offset + exp(-decay t) sin(x - speed t).
-
-    Derivatives in x are phase shifts of the sine, so any order up to
-    eight is available exactly.
-    """
-
-    def at_time(t: float) -> SmoothFunction:
-        amp = math.exp(-decay * t)
-        phase = -speed * t
-        fns = []
-        for order in range(9):
-            def g(x, amp=amp, phase=phase, order=order):
-                vals = amp * np.sin(np.asarray(x, dtype=float) + phase + 0.5 * order * np.pi)
-                if order == 0:
-                    vals = vals + offset
-                return vals
-
-            fns.append(g)
-        return SmoothFunction(tuple(fns))
-
-    return at_time
-
-
-def _profile_slope(x):
-    """Derivative of the analytic benchmark profile 1 / (2 + cos x)."""
-    x = np.asarray(x, dtype=float)
-    return np.sin(x) / (2.0 + np.cos(x)) ** 2
-
-
-def _plane_wave(x1, x2, t):
-    return np.sin(np.asarray(x1, dtype=float) + np.asarray(x2, dtype=float) - 2.0 * t)
-
-
-def _plane_wave_dt(x1, x2, t):
-    return -2.0 * np.cos(np.asarray(x1, dtype=float) + np.asarray(x2, dtype=float) - 2.0 * t)
-
-
-def _characteristic_pair(sign: float) -> Callable:
-    """Component (p(x - t) + sign * p(x + t)) / 2 of the coupled system."""
-
-    def f(x, t, sign=sign):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * (analytic_profile(x - t) + sign * analytic_profile(x + t))
-
-    return f
-
-
-def _characteristic_pair_dt(sign: float) -> Callable:
-    def f(x, t, sign=sign):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * (-_profile_slope(x - t) + sign * _profile_slope(x + t))
-
-    return f
-
-
-def _characteristic_pair_action(sign: float) -> Callable:
-    # L = -A d/dx with the exchange coupling swaps the components, so
-    # the action on component 1 is minus the x-derivative of component 2
-    # and vice versa.
-    def f(x, t, sign=sign):
-        x = np.asarray(x, dtype=float)
-        return -0.5 * (_profile_slope(x - t) + sign * _profile_slope(x + t))
-
-    return f
+    def profile(self, t: float) -> SmoothFunction:
+        """The scalar solution at time t with its x-derivatives up to order
+        eight, for the structure-preserving projections."""
+        return SmoothFunction(tuple(
+            lambda x, n=n: self.evaluate(0, (np.asarray(x, dtype=float),), t, (n,))
+            for n in range(9)
+        ))
 
 
 _COUPLINGS = {"exchange": np.array([[0.0, 1.0], [1.0, 0.0]])}
+
+# Family -> params -> the continuous L it discretizes, as terms (field,
+# from field, coefficient, x-derivative orders): (L u)_field is the sum of
+# coefficient * d^orders u_(from field) over the field's terms.
+_PDE = {
+    "ldg": lambda p: ((0, 0, p["beta"], (p["q"],)),),
+    "ultraweak3": lambda p: ((0, 0, 1.0, (3,)),),
+    "wave": lambda p: ((0, 1, 1.0, (1,)), (1, 0, 1.0, (1,))),
+    "conserving_pair": lambda p: ((0, 0, -1.0, (1,)), (1, 1, 1.0, (1,))),
+    "central": lambda p: ((0, 0, -1.0, (1,)), (1, 1, -1.0, (1,))),
+    "advection2d": lambda p: ((0, 0, -1.0, (1, 0)), (0, 0, -1.0, (0, 1))),
+    "spectral": lambda p: tuple(
+        (i, j, -a, (1,)) for (i, j), a in np.ndenumerate(_COUPLINGS[p["coupling"]]) if a
+    ),
+}
 
 
 @lru_cache(maxsize=1)
 def solution_catalog() -> Mapping[str, ManufacturedSolution]:
     """All manufactured solutions the studies know about, keyed by name."""
+    sine = (Wave(1.0, 1.0),)  # sin(x - t)
+    # (p(x - t) +- p(x + t)) / 2 for the analytic profile p.
+    pair = [(Wave(0.5, 1.0, profile="analytic"), Wave(s, -1.0, profile="analytic"))
+            for s in (0.5, -0.5)]
     entries = [
-        ManufacturedSolution(
-            name="advection_sin",
-            family="ldg",
-            dim=1,
-            components=(_trig("sin", 1.0),),
-            time_derivatives=(_trig("cos", 1.0, -1.0),),
-            operator_actions=(_trig("cos", 1.0, -1.0),),
-            profile=_sine_profile(1.0),
-            params={"q": 1, "beta": -1.0, "theta0": 1.0},
-        ),
-        ManufacturedSolution(
-            name="heat_sin",
-            family="ldg",
-            dim=1,
-            components=(_trig("sin", 0.0, 1.0, 1.0),),
-            time_derivatives=(_trig("sin", 0.0, -1.0, 1.0),),
-            operator_actions=(_trig("sin", 0.0, -1.0, 1.0),),
-            profile=_sine_profile(0.0, decay=1.0),
-            params={"q": 2, "beta": 1.0, "theta0": 1.0},
-        ),
-        ManufacturedSolution(
-            name="dispersive_sin",
-            family="ldg",
-            dim=1,
-            components=(_trig("sin", -1.0),),
-            time_derivatives=(_trig("cos", -1.0),),
-            operator_actions=(_trig("cos", -1.0),),
-            profile=_sine_profile(-1.0),
-            params={"q": 3, "beta": -1.0, "theta0": 1.0},
-        ),
-        ManufacturedSolution(
-            name="ultraweak_sin",
-            family="ultraweak3",
-            dim=1,
-            components=(_trig("sin", 1.0),),
-            time_derivatives=(_trig("cos", 1.0, -1.0),),
-            operator_actions=(_trig("cos", 1.0, -1.0),),
-            profile=_sine_profile(1.0),
-            params={},
-        ),
-        ManufacturedSolution(
-            name="wave_sin",
-            family="wave",
-            dim=1,
-            components=(_trig("sin", 1.0), _trig("sin", 1.0, -1.0)),
-            time_derivatives=(_trig("cos", 1.0, -1.0), _trig("cos", 1.0)),
-            operator_actions=(_trig("cos", 1.0, -1.0), _trig("cos", 1.0)),
-            params={},
-        ),
-        ManufacturedSolution(
-            name="conserving_pair_sin",
-            family="conserving_pair",
-            dim=1,
-            components=(_trig("sin", 1.0), _zero_field),
-            time_derivatives=(_trig("cos", 1.0, -1.0), _zero_field),
-            operator_actions=(_trig("cos", 1.0, -1.0), _zero_field),
-            params={},
-        ),
-        ManufacturedSolution(
-            name="central_sin",
-            family="central",
-            dim=1,
-            components=(_trig("sin", 1.0), _trig("sin", 1.0)),
-            time_derivatives=(_trig("cos", 1.0, -1.0), _trig("cos", 1.0, -1.0)),
-            operator_actions=(_trig("cos", 1.0, -1.0), _trig("cos", 1.0, -1.0)),
-            params={},
-        ),
-        ManufacturedSolution(
-            name="advection2d_sin",
-            family="advection2d",
-            dim=2,
-            components=(_plane_wave,),
-            time_derivatives=(_plane_wave_dt,),
-            operator_actions=(_plane_wave_dt,),
-            params={"theta1": 1.0, "theta2": 1.0},
-        ),
-        ManufacturedSolution(
-            name="spectral_exchange",
-            family="spectral",
-            dim=1,
-            components=(_characteristic_pair(1.0), _characteristic_pair(-1.0)),
-            time_derivatives=(_characteristic_pair_dt(1.0), _characteristic_pair_dt(-1.0)),
-            operator_actions=(_characteristic_pair_action(-1.0), _characteristic_pair_action(1.0)),
-            params={"coupling": "exchange"},
-        ),
+        ManufacturedSolution("advection_sin", "ldg", (sine,),
+                             {"q": 1, "beta": -1.0, "theta0": 1.0}),
+        ManufacturedSolution("heat_sin", "ldg", ((Wave(1.0, 0.0, decay=1.0),),),
+                             {"q": 2, "beta": 1.0, "theta0": 1.0}),
+        ManufacturedSolution("dispersive_sin", "ldg", ((Wave(1.0, -1.0),),),
+                             {"q": 3, "beta": -1.0, "theta0": 1.0}),
+        ManufacturedSolution("ultraweak_sin", "ultraweak3", (sine,)),
+        ManufacturedSolution("wave_sin", "wave", (sine, (Wave(-1.0, 1.0),))),
+        ManufacturedSolution("conserving_pair_sin", "conserving_pair", (sine, ())),
+        ManufacturedSolution("central_sin", "central", (sine, sine)),
+        ManufacturedSolution("advection2d_sin", "advection2d", ((Wave(1.0, 2.0, k=(1.0, 1.0)),),),
+                             {"theta1": 1.0, "theta2": 1.0}),
+        ManufacturedSolution("spectral_exchange", "spectral", tuple(pair),
+                             {"coupling": "exchange"}),
     ]
     return {entry.name: entry for entry in entries}
 
@@ -323,18 +251,18 @@ def solution_catalog() -> Mapping[str, ManufacturedSolution]:
 def manufactured_residual(
     solution: ManufacturedSolution, seed: int = DEFAULT_SEED, n_samples: int = 48
 ) -> float:
-    """Largest pointwise defect |u_t - L u| over random space-time samples.
-
-    The catalog writes u_t and L u as separate closures, so this is a
-    real consistency check on both and it runs before every study.
-    """
+    """Largest pointwise defect |u_t - L u| over random space-time samples,
+    with u_t from each wave's time dependence and L the continuous
+    operator of the solution's family; it runs before every study."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, TWO_PI, size=(solution.dim, n_samples))
     ts = rng.uniform(0.0, 1.0, size=n_samples)
+    terms = _PDE[solution.family](solution.params)
     worst = 0.0
-    for dudt, action in zip(solution.time_derivatives, solution.operator_actions):
-        args = [xs[i] for i in range(solution.dim)] + [ts]
-        defect = np.max(np.abs(np.asarray(dudt(*args)) - np.asarray(action(*args))))
+    for i in range(len(solution.fields)):
+        action = sum(c * solution.evaluate(j, xs, ts, orders)
+                     for f, j, c, orders in terms if f == i)
+        defect = np.max(np.abs(solution.evaluate(i, xs, ts, dt=True) - action))
         worst = max(worst, float(defect))
     return worst
 
@@ -426,16 +354,11 @@ def build_problem(
     mode = init["mode"]
     op, meshes, scale, extra = build_operator(scheme, grid, n, config["seed"], salt)
     family = scheme["family"]
-    comps = solution.components
 
     if family == "spectral":
         def stacked(t: float) -> Callable:
-            def f(x, t=t):
-                return np.stack(
-                    [np.asarray(c(x, t), dtype=complex) for c in comps], axis=-1
-                )
-
-            return f
+            fields = [solution.at(i, t) for i in range(len(solution.fields))]
+            return lambda x: np.stack([np.asarray(f(x), dtype=complex) for f in fields], axis=-1)
 
         def prepare(t: float = 0.0):
             return fourier_truncate(stacked(t), n).coeffs
@@ -445,18 +368,15 @@ def build_problem(
             e = grid_l2_error(u, stacked(t))
             return e, {"all": e}
 
-        n_dofs = (2 * n + 1) * len(comps)
+        n_dofs = (2 * n + 1) * len(solution.fields)
         return Problem(op, scale, n_dofs, prepare, error, f"n_max={n}", extra)
 
     degree = scheme["degree"]
     if family == "advection2d":
         mesh2 = meshes[0]
 
-        def slice_2d(t: float) -> Callable:
-            return lambda x1, x2, t=t: comps[0](x1, x2, t)
-
         def prepare(t: float = 0.0):
-            f = slice_2d(t)
+            f = solution.at(0, t)
             if mode == "tensor":
                 u = pi_tensor_2d(
                     f, mesh2, degree, scheme["theta1"], scheme["theta2"], npts=degree + 4
@@ -467,50 +387,29 @@ def build_problem(
 
         def error(state, t: float):
             u = DGFunction2D.from_vector(mesh2, degree, np.asarray(state))
-            e = l2_error_2d(u, slice_2d(t), npts=degree + 5)
+            e = l2_error_2d(u, solution.at(0, t), npts=degree + 5)
             return e, {"u": e}
 
         return Problem(op, scale, op.n, prepare, error, f"{n}x{n}", extra)
 
-    if family in ("wave", "conserving_pair", "central"):
-        names = ("w", "chi")
-
-        def prepare(t: float = 0.0):
-            fields = [
-                project_l2(lambda x, c=c, t=t: c(x, t), m, degree, npts=degree + 6)
-                for c, m in zip(comps, meshes)
-            ]
-            return stack_fields(*fields)
-
-        def error(state, t: float):
-            fields = split_fields(np.asarray(state), list(meshes), degree)
-            errs = [
-                l2_error(u, lambda x, c=c, t=t: c(x, t), npts=degree + 6)
-                for u, c in zip(fields, comps)
-            ]
-            total = float(math.sqrt(sum(e * e for e in errs)))
-            return total, dict(zip(names, errs))
-
-        return Problem(op, scale, op.n, prepare, error, f"n={n}", extra)
-
-    # Scalar problems on a single mesh (ldg and the ultra-weak form).
-    mesh = meshes[0]
+    # One-dimensional DG: one field per mesh, u alone or the pair (w, chi).
+    names = ("u",) if len(meshes) == 1 else ("w", "chi")
 
     def prepare(t: float = 0.0):
         if mode == "composed":
-            u = composed_projection(
-                solution.profile(t), mesh, degree, scheme["q"],
+            return composed_projection(
+                solution.profile(t), meshes[0], degree, scheme["q"],
                 theta0=scheme["theta0"], thetas=tuple(scheme["thetas"]),
                 variant=init["variant"], npts=degree + 8,
-            )
-        else:
-            u = project_l2(solution.profile(t), mesh, degree, npts=degree + 6)
-        return u.vector
+            ).vector
+        return stack_fields(*[project_l2(solution.at(i, t), m, degree, npts=degree + 6)
+                              for i, m in enumerate(meshes)])
 
     def error(state, t: float):
-        u = DGFunction.from_vector(mesh, degree, np.asarray(state))
-        e = l2_error(u, lambda x, t=t: comps[0](x, t), npts=degree + 6)
-        return e, {"u": e}
+        fields = split_fields(np.asarray(state), list(meshes), degree)
+        errs = [l2_error(u, solution.at(i, t), npts=degree + 6) for i, u in enumerate(fields)]
+        total = float(math.sqrt(sum(e * e for e in errs)))
+        return total, dict(zip(names, errs))
 
     return Problem(op, scale, op.n, prepare, error, f"n={n}", extra)
 
@@ -702,7 +601,7 @@ def _spatial_plan(config, scheme, budget, defect, problems, norms) -> tuple:
     else:
         expo = tcfg.get("tau_exponent")
         if expo is None:
-            q_eff = config["scheme"].get("q", 3 if family == "ultraweak3" else 1)
+            q_eff = max(sum(orders) for *_, orders in _PDE[family](config["scheme"]))
             expo = max(q_eff, math.ceil((config["scheme"]["degree"] + 1) / scheme.order))
         for p, nrm in zip(problems, norms):
             _require_nonzero(f"level {p.label}", nrm)
@@ -821,8 +720,8 @@ def run_study(config: Mapping, *, jobs: int = 1, strict_cfl: bool = False) -> St
         defect = manufactured_residual(solution, seed=config["seed"])
         if defect > _RESIDUAL_GATE:
             raise NumericalError(
-                f"manufactured solution {solution.name} fails its own consistency "
-                f"check: |u_t - L u| reaches {defect:.3e} at random samples"
+                f"manufactured solution {solution.name} does not solve the "
+                f"{solution.family} equation: |u_t - L u| reaches {defect:.3e} at random samples"
             )
         temporal = config["study"] == "temporal"
         sizes = [config["grid"]["n"]] if temporal else config["grid"]["levels"]
@@ -1058,7 +957,7 @@ _GRID = {
     "temporal": _SINGLE_GRID,
     "stability": _SINGLE_GRID,
 }
-# Tighter per-level caps for the families whose levels cost more.
+# Tighter caps on grid.levels and grid.n for the families whose levels cost more.
 _LEVEL_CAP = {"advection2d": 64, "spectral": 96}
 
 _T_FINAL = (_number(0.0, 100.0, lo_open=True), 1.0)
@@ -1170,10 +1069,12 @@ def validate_config(doc: Mapping) -> dict:
 
     raw_grid = out["grid"]
     grid = out["grid"] = _section("grid", raw_grid, _GRID[study])
-    levels, cap = grid.get("levels", []), _LEVEL_CAP.get(family)
-    for i, n in enumerate(levels):
-        if cap is not None and n > cap:
-            _fail(f"grid.levels[{i}]", f"must be at most {cap} for {family}")
+    levels, cap = grid.get("levels", []), _LEVEL_CAP.get(family, math.inf)
+    sizes = ({"grid.n": grid["n"]} if "n" in grid
+             else {f"grid.levels[{i}]": n for i, n in enumerate(levels)})
+    for path, n in sizes.items():
+        if n > cap:
+            _fail(path, f"must be at most {cap} for {family}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         _fail("grid.levels", "entries must increase strictly")
     if grid["mesh"] == "perturbed":
@@ -1521,7 +1422,11 @@ def check_projections(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     inverse of the discrete derivative, and the composed construction."""
     rng = np.random.default_rng(seed)
     out = []
-    w = _sine_profile(1.0, offset=0.7)(0.37)
+    w = SmoothFunction(tuple(  # 0.7 + sin(x - 0.37) and its derivatives
+        lambda x, n=n: np.sin(np.asarray(x, dtype=float) - 0.37 + 0.5 * n * np.pi)
+        + 0.7 * (n == 0)
+        for n in range(9)
+    ))
 
     cases = [
         (Mesh1D.uniform(16), 1, 0.0),

@@ -14,8 +14,10 @@ import pytest
 from rkdg_lab import (
     ConfigError,
     DEFAULT_SEED,
+    Mesh1D,
     NumericalError,
     StabilityWarning,
+    analytic_profile,
     build_operator,
     build_problem,
     check_operators,
@@ -36,6 +38,7 @@ from rkdg_lab import (
 )
 from rkdg_lab import harness
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 CATALOG_NAMES = [
     "advection_sin",
     "heat_sin",
@@ -59,14 +62,78 @@ def test_catalog_contents():
     assert sorted(catalog) == sorted(CATALOG_NAMES)
     for name, sol in catalog.items():
         assert sol.name == name
-        assert len(sol.components) == len(sol.time_derivatives) == len(sol.operator_actions)
+        terms = harness._PDE[sol.family](sol.params)
+        assert all(max(f, j) < len(sol.fields) for f, j, _, _ in terms)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_solutions_satisfy_their_equations(name):
-    """u_t and L u are written as independent closures; they must agree
-    pointwise, or every rate the studies measure is meaningless."""
+    """u_t comes from each wave's time dependence and L u from the family's
+    continuous operator; they must agree pointwise, or every rate the
+    studies measure is meaningless."""
     assert manufactured_residual(solution_catalog()[name]) < 1e-12
+
+
+# One wrong entry per fault kind: a heat solution that decays twice too
+# fast, an advected sine moving the wrong way, a wave pair with chi's sign
+# flipped.
+PLANTED_FAULTS = {
+    "heat_sin": ((harness.Wave(1.0, 0.0, decay=2.0),),),
+    "advection_sin": ((harness.Wave(1.0, -1.0),),),
+    "wave_sin": ((harness.Wave(1.0, 1.0),), (harness.Wave(1.0, 1.0),)),
+}
+
+
+def _planted(name):
+    return dataclasses.replace(solution_catalog()[name], fields=PLANTED_FAULTS[name])
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))
+def test_planted_catalog_faults_fail_the_residual(name):
+    assert manufactured_residual(_planted(name)) >= 0.5
+
+
+def test_run_study_refuses_a_solution_that_misses_its_equation(monkeypatch):
+    catalog = {**solution_catalog(), "heat_sin": _planted("heat_sin")}
+    monkeypatch.setattr(harness, "solution_catalog", lambda: catalog)
+    config = load_config(os.path.join(CONFIG_DIR, "heat_alternating_k1.json"))
+    with pytest.raises(NumericalError, match="heat_sin"):
+        run_study(config)
+
+
+def test_catalog_fields_are_their_closed_forms_bit_for_bit():
+    """Every field on the degree + 6 quadrature points of a 7-cell mesh
+    equals its closed form written out independently, bit for bit, as does
+    every derivative the scalar sines hand the projections at t = 0."""
+    degree = 1
+    x = Mesh1D.uniform(7).quad_points(degree + 6)[0].reshape(-1)
+    y = x[::-1].copy()
+    p = analytic_profile
+    catalog = solution_catalog()
+    for t in (0.0, 1.0):
+        expected = {
+            "advection_sin": [np.sin(x - t)],
+            "heat_sin": [np.exp(-t) * np.sin(x)],
+            "dispersive_sin": [np.sin(x + t)],
+            "ultraweak_sin": [np.sin(x - t)],
+            "wave_sin": [np.sin(x - t), -np.sin(x - t)],
+            "conserving_pair_sin": [np.sin(x - t), np.zeros_like(x)],
+            "central_sin": [np.sin(x - t), np.sin(x - t)],
+            "advection2d_sin": [np.sin(x + y - 2 * t)],
+            "spectral_exchange": [0.5 * (p(x - t) + p(x + t)), 0.5 * (p(x - t) - p(x + t))],
+        }
+        assert sorted(expected) == sorted(CATALOG_NAMES)
+        for name, values in expected.items():
+            sol = catalog[name]
+            coords = (x, y) if sol.dim == 2 else (x,)
+            assert len(sol.fields) == len(values), name
+            for i, value in enumerate(values):
+                np.testing.assert_array_equal(sol.at(i, t)(*coords), value, err_msg=name)
+    for name in ("advection_sin", "heat_sin", "dispersive_sin", "ultraweak_sin"):
+        profile = catalog[name].profile(0.0)
+        for n in range(9):
+            np.testing.assert_array_equal(profile.deriv(n)(x), np.sin(x + n * np.pi / 2),
+                                          err_msg=f"{name} order {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +261,21 @@ def test_validate_pins_solution_parameters(tiny_advection_config):
     with pytest.raises(ConfigError) as err:
         validate_config(doc)
     assert "scheme.beta" in str(err.value)
+
+
+@pytest.mark.parametrize("family,cap", [("advection2d", 64), ("spectral", 96)])
+def test_family_caps_bound_grid_n(family, cap):
+    """A family's cap on spatial levels holds for a single grid's n too: a
+    2D scan at n = 2048 would need 2048^2 (k + 1)^2 unknowns."""
+    scheme = {"family": family} if family == "spectral" else {"family": family, "degree": 1}
+
+    def scan(n):
+        return {"schema": "rkdg-lab-config/1", "study": "stability", "scheme": scheme,
+                "grid": {"n": n}, "time": {"integrator": "ssp3"}}
+
+    assert validate_config(scan(cap))["grid"]["n"] == cap
+    with pytest.raises(ConfigError, match=f"grid.n: must be at most {cap} for {family}"):
+        validate_config(scan(cap + 1))
 
 
 def _temporal_ldg3_n600(**grid):
