@@ -435,18 +435,42 @@ def _dense(op: LinearOperator, what: str) -> np.ndarray:
     return op.dense()
 
 
+def _conjugate_half(op) -> np.ndarray:
+    """op's per-mode matrices, one mode of each conjugate pair when op is
+    real: modes k and -k of a real operator are conjugate, and so are
+    their R(tau L) blocks and norms. A SymbolOperator (its matrix is real)
+    keeps k >= 0; a LinearOperator with a real matrix keeps modes 0..n//2
+    along the last cell axis of its layout, every mode along the others.
+    Any other operator keeps every mode."""
+    if isinstance(op, SymbolOperator):
+        return op.symbols[op.n_max:]
+    if not np.isrealobj(op.mat):
+        return op.symbols
+    shape, cell_axes = op.layout
+    cells = tuple(shape[ax] for ax in cell_axes)
+    m = op.symbols.shape[-1]
+    return op.symbols.reshape(cells + (m, m))[..., : cells[-1] // 2 + 1, :, :]
+
+
 def amplification_norm(op, scheme: RKScheme, tau: float) -> float:
     """Spectral norm of R(tau L).
 
     Exact when op has symbols (a SymbolOperator, or a LinearOperator on
-    a uniform periodic mesh): R is applied to every per-mode matrix by
+    a uniform periodic mesh): R is applied to the per-mode matrices by
     one batched Horner sweep and the largest per-mode norm is returned.
-    Other operators are evaluated densely, up to DENSE_LIMIT unknowns.
+    A real operator is measured on one mode of each conjugate pair (see
+    _conjugate_half). Other operators are evaluated densely, up to
+    DENSE_LIMIT unknowns. Each norm is the square root of the top
+    eigenvalue of R^H R, clamped at zero against rounding.
     """
-    stack = op.symbols if op.symbols is not None else _dense(op, "the amplification norm")[None]
+    if op.symbols is not None:
+        stack = _conjugate_half(op)
+    else:
+        stack = _dense(op, "the amplification norm")[None]
     eye = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape)
     r = _horner(scheme.alphas, eye, lambda v: tau * (stack @ v))
-    return float(np.linalg.norm(r, 2, axis=(-2, -1)).max())
+    top = np.linalg.eigvalsh(np.swapaxes(r.conj(), -1, -2) @ r)[..., -1].max()
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def _expm_multiply(a, v: np.ndarray) -> np.ndarray:

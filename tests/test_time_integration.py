@@ -28,6 +28,7 @@ from rkdg_lab import (
     amplification_norm,
     assemble_advection_2d,
     assemble_central_advection,
+    assemble_d_theta,
     assemble_high_order_lh,
     assemble_ultraweak_third,
     assemble_wave_alphabeta,
@@ -47,6 +48,7 @@ from rkdg_lab import (
     validate_config,
 )
 from rkdg_lab import harness, time_integration
+from rkdg_lab.dg_ops1d import cell_layout
 from rkdg_lab.time_integration import check_cfl
 from conftest import VARIANTS, build_variant, dense_norm
 
@@ -317,6 +319,27 @@ def test_rk_step_kernel_benchmark(benchmark):
     got = benchmark.pedantic(evolve, args=(op, u, tau, tau, scheme), rounds=20, iterations=50)
     assert got.n_steps == 1
     assert np.array_equal(got.state, reference_step(lambda v: op.mat @ v, u, tau, scheme.alphas))
+
+
+def all_modes_amplification(op, scheme, tau):
+    """|R(tau L)| by Horner on every per-mode matrix and a batched SVD,
+    with no mode pairing: the oracle for amplification_norm."""
+    eye = np.broadcast_to(np.eye(op.symbols.shape[-1]), op.symbols.shape)
+    r = eye * scheme.alphas[-1]
+    for alpha in scheme.alphas[-2::-1]:
+        r = tau * (op.symbols @ r) + alpha * eye
+    return float(np.linalg.norm(r, 2, axis=(-2, -1)).max())
+
+
+def test_amplification_norm_kernel_benchmark(benchmark):
+    """One probe of scan_taylor3_central_n1024: taylor3 at lambda = 1.6 on
+    the centered operator at n = 1024 (2,048 unknowns, 1,024 modes)."""
+    op = assemble_high_order_lh(Mesh1D.uniform(1024), 1, 1, -1.0, theta0=0.5)
+    scheme = resolve_scheme("taylor3")
+    tau = 1.6 / operator_norm(op)
+    got = benchmark.pedantic(amplification_norm, args=(op, scheme, tau), rounds=10, iterations=5)
+    ref = all_modes_amplification(op, scheme, tau)
+    assert abs(got - ref) <= 1e-14 * ref
 
 
 # ---------------------------------------------------------------------------
@@ -705,3 +728,47 @@ def test_centered_amplification_edge_is_the_imaginary_axis_extent(scheme_name, e
     nrm = operator_norm(op)
     assert amplification_norm(op, scheme, edge * (1 - 1e-6) / nrm) <= 1 + 1e-10
     assert amplification_norm(op, scheme, edge * (1 + 1e-6) / nrm) > 1 + 1e-10
+
+
+@pytest.mark.parametrize("name,n", AMPLIFICATION_CASES + [("symbol", 3), ("symbol", 6)])
+def test_amplification_norm_matches_the_all_modes_oracle(name, n):
+    """Measured on one mode of each conjugate pair, |R(tau L)| is the
+    largest per-mode norm over every mode: even and odd n, scalar,
+    two-field and 2D layouts, and a SymbolOperator with n_max = n."""
+    if name == "symbol":
+        op = SymbolOperator(n, np.array([[0.5, 1.0], [1.0, -0.25]]))
+    else:
+        op = build_variant(name, n)
+    nrm = operator_norm(op)
+    for scheme_name in ("euler", "taylor3", "rk4", "two_step_rk4"):
+        scheme = resolve_scheme(scheme_name)
+        for lam in (0.7, 2.5):
+            tau = lam / nrm
+            ref = all_modes_amplification(op, scheme, tau)
+            got = amplification_norm(op, scheme, tau)
+            assert abs(got - ref) <= 1e-14 * ref, (scheme_name, lam)
+
+
+def test_amplification_norm_keeps_every_mode_of_a_complex_operator():
+    """The symbols of a complex circulant operator are not conjugate
+    symmetric, so no mode stands for another: for 1j D + 0.3 D, D the
+    upwind D_theta at k = 1 on 8 cells, half the modes read 1.3514 where
+    dense R reads 1.4690."""
+    d = assemble_d_theta(Mesh1D.uniform(8), 1, 1.0)
+    op = LinearOperator(1j * d.mat + 0.3 * d.mat, layout=d.layout)
+    assert op.symbols is not None
+    scheme = resolve_scheme("rk4")
+    tau = 0.5 / operator_norm(op)
+    ref = dense_norm(dense_amplification(op.dense(), scheme, tau))
+    assert ref == pytest.approx(1.4690, abs=1e-4)
+    assert abs(amplification_norm(op, scheme, tau) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("layout", [cell_layout(1, 6, 0), None])
+def test_amplification_norm_of_a_zero_r_is_zero(layout):
+    """Euler at tau = 1 on -I makes R = 0 exactly, on the per-mode path
+    and on the dense one: the norm is 0.0, not the NaN that the square
+    root of a rounded negative eigenvalue would give."""
+    op = LinearOperator(-sp.identity(6, format="csr"), layout=layout)
+    assert (op.symbols is None) == (layout is None)
+    assert amplification_norm(op, resolve_scheme("euler"), 1.0) == 0.0
