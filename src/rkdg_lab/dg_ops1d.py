@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, svds
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .core_fem import (
     DGFunction,
@@ -48,15 +48,22 @@ class LinearOperator:
     cells of a periodic mesh. Scalar and two-field 1D operators use
     ((fields, n, k+1), (1,)), 2D advection ((n1, k+1, n2, k+1), (0, 2)).
     The layout is what lets `symbols` read the operator mode by mode.
+
+    mat is stored as canonical CSR: each row's columns sorted, with
+    duplicate entries summed. A matrix that is not canonical is copied
+    first, so the caller's arrays are never changed.
     """
 
     mat: sp.csr_matrix
     layout: tuple | None = None
 
     def __post_init__(self):
-        m = sp.csr_matrix(self.mat)
+        m = sp.csr_matrix(self.mat)  # shares a CSR input's arrays
         if m.shape[0] != m.shape[1]:
             raise ValueError("operators here are square")
+        if not m.has_canonical_format:
+            m = m.copy()
+            m.sum_duplicates()
         object.__setattr__(self, "mat", m)
 
     @property
@@ -152,8 +159,9 @@ def _mode_norms(symbols: np.ndarray) -> np.ndarray:
 
 def _circulant_defect(mat: sp.csr_matrix, layout: tuple) -> tuple[np.ndarray, float, float]:
     """(block_rows, sqrt(|A - C|_1 |A - C|_inf), sqrt(|C|_1 |C|_inf)) for
-    A = mat and C the block circulant over the layout's cell axes whose
-    cell-0 block rows, the dense block_rows of shape (m, n), are A's.
+    A = mat, a canonical CSR matrix (as LinearOperator stores it), and C
+    the block circulant over the layout's cell axes whose cell-0 block
+    rows, the dense block_rows of shape (m, n), are A's.
 
     C's entry in a row of cell c and a column of cell d is the entry of
     its block row in that column moved back to cell d - c. So each stored
@@ -164,9 +172,6 @@ def _circulant_defect(mat: sp.csr_matrix, layout: tuple) -> tuple[np.ndarray, fl
     every column at the same place in another cell.
     """
     shape, cell_axes = layout
-    if not mat.has_canonical_format:  # duplicate entries add up
-        mat = mat.copy()
-        mat.sum_duplicates()
     n, counts = mat.shape[0], np.diff(mat.indptr)
     cell0 = tuple(slice(0, 1) if ax in cell_axes else slice(None) for ax in range(len(shape)))
     rows = np.arange(n).reshape(shape)[cell0]
@@ -381,20 +386,29 @@ def assemble_ultraweak_third(mesh: Mesh1D, degree: int) -> LinearOperator:
 def spectrum_method(op) -> str:
     """How |L| and mu of op, a LinearOperator or a SymbolOperator, are
     measured: "modes" (exact, per mode) when it has symbols, "krylov"
-    (one ARPACK call each on its matrix) otherwise."""
+    (one eigsh call each, see _top_eigenvalue) otherwise."""
     return "modes" if op.symbols is not None else "krylov"
 
 
-def _arpack(what: str, solve, n: int) -> float:
-    """The one value solve(v0) returns, from ARPACK.
+def _top_eigenvalue(sym: sp.csr_matrix, what: str) -> float:
+    """Largest eigenvalue of the real symmetric matrix sym, from ARPACK.
 
-    Every call starts from the same seeded v0, so a measurement repeats
-    bit for bit. ARPACK stops on the Ritz residual |r| <= eps |theta|; a
-    result it does not report converged is refused."""
+    eigsh finds the top eigenvalue c + lambda of sym shifted by its
+    largest absolute row sum c >= rho (1 for a zero matrix, which the
+    shift turns into I). Without the shift a dissipative operator's top
+    eigenvalue sits in a degenerate cluster at zero, where ARPACK's
+    relative stopping test |r| <= eps |theta| cannot settle. Every call
+    starts from the same seeded v0, so a measurement repeats bit for bit;
+    a result ARPACK does not report converged is refused."""
+    n = sym.shape[0]
+    shift = float(np.max(np.abs(sym).sum(axis=1))) or 1.0
+    shifted = sym + shift * sp.identity(n, format="csr")
+    v0 = np.random.default_rng(7).standard_normal(n)
     try:
-        return float(solve(np.random.default_rng(7).standard_normal(n))[0])
+        top = eigsh(shifted, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
     except ArpackNoConvergence as err:
         raise NumericalError(f"ARPACK did not converge on {what} ({n} unknowns): {err}") from None
+    return float(top) - shift
 
 
 def semiboundedness_mu(op) -> float:
@@ -403,23 +417,12 @@ def semiboundedness_mu(op) -> float:
     <L v, v> <= mu |v|^2 for all v, with equality attained. An operator
     with symbols (a SymbolOperator, or a LinearOperator on a uniform
     periodic mesh) gives the exact maximum over its per-mode Hermitian
-    parts. Otherwise ARPACK finds the top eigenvalue c + mu of the
-    symmetric part shifted by its largest absolute row sum c >= rho.
-    Without the shift a dissipative operator's top eigenvalue sits in a
-    degenerate cluster at zero, where ARPACK's relative stopping test
-    cannot settle."""
+    parts. Otherwise it is the top eigenvalue of the symmetric part, by
+    _top_eigenvalue."""
     if op.symbols is not None:
         herm = 0.5 * (op.symbols + np.conj(np.swapaxes(op.symbols, -1, -2)))
         return float(np.max(np.linalg.eigvalsh(herm)))
-    sym = (0.5 * (op.mat + op.mat.T)).tocsr()
-    shift = float(np.max(np.abs(sym).sum(axis=1))) or 1.0
-    shifted = sym + shift * sp.identity(sym.shape[0], format="csr")
-    top = _arpack(
-        "the shifted symmetric part",
-        lambda v0: eigsh(shifted, k=1, which="LA", v0=v0, return_eigenvectors=False),
-        sym.shape[0],
-    )
-    return top - shift
+    return _top_eigenvalue((0.5 * (op.mat + op.mat.T)).tocsr(), "the symmetric part")
 
 
 def operator_norm(op) -> float:
@@ -428,19 +431,15 @@ def operator_norm(op) -> float:
     An operator with symbols (a SymbolOperator, or a LinearOperator on a
     uniform periodic mesh) gives the exact maximum over its per-mode
     singular values; a LinearOperator keeps them from the batched SVD
-    that accepted its symbols. Otherwise it is ARPACK's largest singular
-    value.
+    that accepted its symbols. Otherwise it is the square root of the
+    top eigenvalue of A^T A, by _top_eigenvalue, clamped at zero against
+    rounding: exactly 0.0 for a zero operator.
     """
     if op.symbols is not None:
         norms = op.mode_norms if isinstance(op, LinearOperator) else _mode_norms(op.symbols)
         return float(norms.max())
-    if op.mat.count_nonzero() == 0:
-        return 0.0  # ARPACK refuses a start vector the operator maps to zero
-    return _arpack(
-        "the largest singular value",
-        lambda v0: svds(op.mat, k=1, solver="arpack", return_singular_vectors=False, v0=v0),
-        op.n,
-    )
+    top = _top_eigenvalue((op.mat.T @ op.mat).tocsr(), "A^T A")
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def quadratic_form(op: LinearOperator, v: np.ndarray) -> float:

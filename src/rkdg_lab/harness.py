@@ -120,14 +120,19 @@ class RateAssertionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _analytic(theta, n: int):
+    """The analytic profile 1 / (2 + cos theta) and its first derivative;
+    higher orders are not supplied."""
+    if n >= 2:
+        raise ValueError(f"the analytic profile supplies derivatives of order 0 and 1, not {n}")
+    return analytic_profile(theta) if n == 0 else np.sin(theta) / (2.0 + np.cos(theta)) ** 2
+
+
 # Profile name -> f(theta, n), the n-th derivative of the profile at theta.
-# The analytic profile 1 / (2 + cos theta) supplies orders 0 and 1. The
-# sine skips its zero shift at n = 0, which would cost one more array.
+# The sine skips its zero shift at n = 0, which would cost one more array.
 _PROFILES = {
     "sin": lambda theta, n: np.sin(theta + 0.5 * n * np.pi if n else theta),
-    "analytic": lambda theta, n: (
-        analytic_profile(theta) if n == 0 else np.sin(theta) / (2.0 + np.cos(theta)) ** 2
-    ),
+    "analytic": _analytic,
 }
 
 

@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 # The kernel behind `csr_matrix @ vector` (scipy's _matmul_vector calls it
@@ -210,30 +211,19 @@ class _Stack(NamedTuple):
 def _stack(kind, ops: Sequence, states: Sequence[np.ndarray]) -> _Stack:
     """Levels of one _stack_kind as one _Stack, applied without dispatch.
 
-    A CSR stack is one CSR matrix whose indptr, indices and data are the
-    levels' own, concatenated with offsets (sp.block_diag may reorder a
-    row), so scipy's CSR matvec kernel sums each row exactly as for the
-    level alone. A modes stack concatenates the per-mode matrices, and
+    A CSR stack is the levels' sp.block_diag. LinearOperator stores
+    canonical CSR, whose rows block_diag keeps in order, so the stack's
+    indptr, indices and data are the levels' own concatenated with
+    offsets, and scipy's CSR matvec kernel sums each row exactly as for
+    the level alone. A modes stack concatenates the per-mode matrices, and
     matmul multiplies each on its own. `out *= h` is then the IEEE
     product `tau * (L v)` row by row.
     """
     u = np.concatenate(states)
     stops = list(accumulate(len(s) for s in states))
     if kind == "csr":
-        mats = [op.mat for op in ops]
-        spans = [(int(m.indptr[0]), int(m.indptr[-1])) for m in mats]
-        if len(mats) == 1 and spans[0][0] == 0:  # one level needs no offsets
-            indptr, indices, data = mats[0].indptr, mats[0].indices, mats[0].data
-        else:
-            nnz = sum(hi - lo for lo, hi in spans)
-            idx = np.int32 if max(len(u), nnz) < 2**31 else np.int64
-            indptr, indices = np.zeros(len(u) + 1, idx), np.empty(nnz, idx)
-            data, nz = np.empty(nnz), 0
-            for m, (lo, hi), row0, row1 in zip(mats, spans, [0] + stops, stops):
-                indptr[row0 + 1:row1 + 1] = m.indptr[1:] + (nz - lo)
-                indices[nz:nz + hi - lo] = m.indices[lo:hi] + row0
-                data[nz:nz + hi - lo] = m.data[lo:hi]
-                nz += hi - lo
+        mat = sp.block_diag([op.mat for op in ops], format="csr")
+        indptr, indices, data = mat.indptr, mat.indices, mat.data
 
         def bind(rows: int) -> Callable:
             hr = h[:rows]

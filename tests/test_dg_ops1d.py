@@ -19,6 +19,7 @@ from rkdg_lab import (
     LinearOperator,
     Mesh1D,
     Mesh2D,
+    NumericalError,
     assemble_advection_2d,
     assemble_d_theta,
     assemble_high_order_lh,
@@ -32,7 +33,7 @@ from rkdg_lab import (
     quadratic_form,
     semiboundedness_mu,
 )
-from rkdg_lab import dg_ops1d
+from rkdg_lab import dg_ops1d, harness
 from rkdg_lab.dg_ops1d import _circulant_defect, cell_layout, spectrum_method
 from rkdg_lab.harness import build_operator, load_config, run_study
 from conftest import ONE_D_VARIANTS, VARIANTS, build_variant, dense_norm, random_dg
@@ -503,9 +504,32 @@ def test_circulance_check_adds_duplicate_entries():
     parts = np.stack([2.0 * mat.data, -mat.data], axis=1).ravel()
     split = sp.csr_matrix((parts, np.repeat(mat.indices, 2), 2 * mat.indptr), shape=mat.shape)
     dup = LinearOperator(split, layout=op.layout)
-    assert not dup.mat.has_canonical_format and dup.mat.nnz == 2 * mat.nnz
+    assert not split.has_canonical_format and split.nnz == 2 * mat.nnz
+    assert dup.mat.nnz == mat.nnz
     assert assert_circulance_matches_the_oracle(dup)
     assert np.array_equal(dup.symbols, op.symbols)
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_every_variant_stores_canonical_csr(name):
+    """Sorted rows without duplicates, on uniform meshes and, for the 1D
+    families, perturbed ones: the format the circulance check and the
+    lockstep stack read."""
+    assert build_variant(name, 5).mat.has_canonical_format
+    if name in ONE_D_VARIANTS:
+        assert build_variant(name, 5, Mesh1D.perturbed(5, rel=0.2, seed=5)).mat.has_canonical_format
+
+
+def test_canonical_csr_leaves_the_callers_matrix_alone():
+    """A LinearOperator built from unsorted CSR with a duplicate entry
+    stores its canonical form; the caller's indices and data are unchanged."""
+    data, indices = np.array([1.0, 2.0, 3.0, 4.0]), np.array([2, 0, 2, 1])
+    mat = sp.csr_matrix((data, indices, np.array([0, 3, 4, 4])), shape=(3, 3))
+    op = LinearOperator(mat)
+    assert op.mat.has_canonical_format
+    np.testing.assert_array_equal(op.mat.toarray(), [[2.0, 0.0, 4.0], [0.0, 4.0, 0.0], [0.0] * 3])
+    np.testing.assert_array_equal(mat.indices, [2, 0, 2, 1])
+    np.testing.assert_array_equal(mat.data, [1.0, 2.0, 3.0, 4.0])
 
 
 def test_one_batched_svd_per_uniform_level_and_none_off_it(monkeypatch):
@@ -577,6 +601,16 @@ def test_krylov_norm_of_a_spread_diagonal(n):
 def test_krylov_mu_of_a_spread_diagonal(n):
     op = LinearOperator(sp.diags(np.linspace(-2.0, 1.5, n)).tocsr())
     assert abs(semiboundedness_mu(op) - 1.5) <= 1e-12
+
+
+def test_krylov_measurements_of_a_zero_operator_are_exactly_zero():
+    """The shift turns a zero matrix into I, so |L| and mu read 0.0 and a
+    study still refuses the operator for giving no step size."""
+    op = LinearOperator(sp.csr_matrix((12, 12)))
+    assert op.symbols is None
+    assert operator_norm(op) == 0.0 and semiboundedness_mu(op) == 0.0
+    with pytest.raises(NumericalError, match="the operator is zero"):
+        harness._require_nonzero("zero", operator_norm(op))
 
 
 def test_krylov_measurements_repeat_bit_for_bit():

@@ -136,6 +136,18 @@ def test_catalog_fields_are_their_closed_forms_bit_for_bit():
                                           err_msg=f"{name} order {n}")
 
 
+def test_analytic_profile_supplies_orders_zero_and_one_only():
+    """The analytic profile 1 / (2 + cos x) gives its first derivative
+    sin x / (2 + cos x)^2 and refuses order 2 rather than hand back a
+    wrong function."""
+    x = np.linspace(0.0, 2.0 * np.pi, 13)
+    profile = solution_catalog()["spectral_exchange"].profile(0.0)
+    np.testing.assert_allclose(profile.deriv(1)(x), np.sin(x) / (2.0 + np.cos(x)) ** 2,
+                               rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="order 0 and 1, not 2"):
+        profile.deriv(2)(x)
+
+
 # ---------------------------------------------------------------------------
 # Rate fitting
 # ---------------------------------------------------------------------------
