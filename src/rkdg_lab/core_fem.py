@@ -3,7 +3,8 @@ modal Legendre basis, piecewise-polynomial functions, and L2 projection.
 
 Conventions used throughout the package:
 
-* Periodic domain [a, b), cells I_j = [x_{j-1/2}, x_{j+1/2}].
+* Periodic domain [a, b) from the mesh's boundaries ([0, 2 pi) for the
+  uniform and perturbed meshes), cells I_j = [x_{j-1/2}, x_{j+1/2}].
 * On each cell the basis is phi_m(x) = sqrt((2m+1)/h_j) * P_m(xi) with
   xi = 2(x - x_j)/h_j, so the element mass matrix is the identity and the
   L2 norm of a DGFunction equals the Euclidean norm of its coefficients.
@@ -87,26 +88,20 @@ class Mesh1D:
         object.__setattr__(self, "boundaries", b)
 
     @classmethod
-    def uniform(cls, n_cells: int, a: float = 0.0, b: float = TWO_PI) -> "Mesh1D":
-        return cls(np.linspace(a, b, n_cells + 1))
+    def uniform(cls, n_cells: int) -> "Mesh1D":
+        """n_cells equal cells on [0, 2 pi)."""
+        return cls(np.linspace(0.0, TWO_PI, n_cells + 1))
 
     @classmethod
-    def perturbed(
-        cls,
-        n_cells: int,
-        a: float = 0.0,
-        b: float = TWO_PI,
-        rel: float = 0.2,
-        seed: int = 0,
-    ) -> "Mesh1D":
-        """Quasi-uniform mesh: interior boundaries of the uniform mesh are
-        shifted by at most rel/2 of the uniform spacing (so cell widths stay
-        within a factor (1 - rel, 1 + rel) of h)."""
+    def perturbed(cls, n_cells: int, rel: float = 0.2, seed: int = 0) -> "Mesh1D":
+        """Quasi-uniform mesh on [0, 2 pi): interior boundaries of the
+        uniform mesh are shifted by at most rel/2 of the uniform spacing (so
+        cell widths stay within a factor (1 - rel, 1 + rel) of h)."""
         if not 0.0 <= rel < 1.0:
             raise ValueError("relative perturbation must lie in [0, 1)")
         rng = np.random.default_rng(seed)
-        h = (b - a) / n_cells
-        bounds = np.linspace(a, b, n_cells + 1)
+        h = TWO_PI / n_cells
+        bounds = np.linspace(0.0, TWO_PI, n_cells + 1)
         bounds[1:-1] += rng.uniform(-0.5 * rel, 0.5 * rel, n_cells - 1) * h
         return cls(bounds)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -62,6 +62,7 @@ from .multidim import (
     tensor_projection_residuals,
 )
 from .projections import (
+    _HALF_THETA_REMEDY,
     commuting_defect,
     composed_projection,
     d_theta_inverse_apply,
@@ -87,9 +88,9 @@ from .time_integration import (
     DENSE_LIMIT,
     RKScheme,
     _horner,
+    _step_plan,
     amplification_norm,
     check_cfl,
-    evolve,
     evolve_levels,
     expm_reference,
     resolve_scheme,
@@ -209,7 +210,8 @@ class ManufacturedSolution:
         ))
 
 
-_COUPLINGS = {"exchange": np.array([[0.0, 1.0], [1.0, 0.0]])}
+# The coupling matrix A of the spectral family's system u_t + A u_x = 0.
+_EXCHANGE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # Family -> params -> the continuous L it discretizes, as terms (field,
 # from field, coefficient, x-derivative orders): (L u)_field is the sum of
@@ -221,9 +223,7 @@ _PDE = {
     "conserving_pair": lambda p: ((0, 0, -1.0, (1,)), (1, 1, 1.0, (1,))),
     "central": lambda p: ((0, 0, -1.0, (1,)), (1, 1, -1.0, (1,))),
     "advection2d": lambda p: ((0, 0, -1.0, (1, 0)), (0, 0, -1.0, (0, 1))),
-    "spectral": lambda p: tuple(
-        (i, j, -a, (1,)) for (i, j), a in np.ndenumerate(_COUPLINGS[p["coupling"]]) if a
-    ),
+    "spectral": lambda p: tuple((i, j, -a, (1,)) for (i, j), a in np.ndenumerate(_EXCHANGE) if a),
 }
 
 
@@ -247,21 +247,19 @@ def solution_catalog() -> Mapping[str, ManufacturedSolution]:
         ManufacturedSolution("central_sin", "central", (sine, sine)),
         ManufacturedSolution("advection2d_sin", "advection2d", ((Wave(1.0, 2.0, k=(1.0, 1.0)),),),
                              {"theta1": 1.0, "theta2": 1.0}),
-        ManufacturedSolution("spectral_exchange", "spectral", tuple(pair),
-                             {"coupling": "exchange"}),
+        ManufacturedSolution("spectral_exchange", "spectral", tuple(pair)),
     ]
     return {entry.name: entry for entry in entries}
 
 
-def manufactured_residual(
-    solution: ManufacturedSolution, seed: int = DEFAULT_SEED, n_samples: int = 48
-) -> float:
-    """Largest pointwise defect |u_t - L u| over random space-time samples,
-    with u_t from each wave's time dependence and L the continuous
-    operator of the solution's family; it runs before every study."""
+def manufactured_residual(solution: ManufacturedSolution, seed: int = DEFAULT_SEED) -> float:
+    """Largest pointwise defect |u_t - L u| over 48 random space-time
+    samples, with u_t from each wave's time dependence and L the
+    continuous operator of the solution's family; it runs before every
+    study."""
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, TWO_PI, size=(solution.dim, n_samples))
-    ts = rng.uniform(0.0, 1.0, size=n_samples)
+    xs = rng.uniform(0.0, TWO_PI, size=(solution.dim, 48))
+    ts = rng.uniform(0.0, 1.0, size=48)
     terms = _PDE[solution.family](solution.params)
     worst = 0.0
     for i in range(len(solution.fields)):
@@ -307,9 +305,7 @@ def build_operator(
     """
     family = scheme["family"]
     if family == "spectral":
-        a = _COUPLINGS[scheme["coupling"]]
-        op = SymbolOperator(n, a)
-        return op, (), float(n), {}
+        return SymbolOperator(n, _EXCHANGE), (), float(n), {}
     degree = scheme["degree"]
     if family == "advection2d":
         mesh2 = Mesh2D.uniform(n, n)
@@ -355,8 +351,7 @@ def build_problem(
     config: Mapping, solution: ManufacturedSolution, n: int, salt: int = 0
 ) -> Problem:
     """Assemble one level and wire the exact solution to it."""
-    scheme, grid, init = config["scheme"], config["grid"], config["init"]
-    mode = init["mode"]
+    scheme, grid, mode = config["scheme"], config["grid"], config["init"]["mode"]
     op, meshes, scale, extra = build_operator(scheme, grid, n, config["seed"], salt)
     family = scheme["family"]
 
@@ -404,8 +399,7 @@ def build_problem(
         if mode == "composed":
             return composed_projection(
                 solution.profile(t), meshes[0], degree, scheme["q"],
-                theta0=scheme["theta0"], thetas=tuple(scheme["thetas"]),
-                variant=init["variant"], npts=degree + 8,
+                theta0=scheme["theta0"], thetas=tuple(scheme["thetas"]), npts=degree + 8,
             ).vector
         return stack_fields(*[project_l2(solution.at(i, t), m, degree, npts=degree + 6)
                               for i, m in enumerate(meshes)])
@@ -425,15 +419,16 @@ def build_problem(
 
 
 @lru_cache(maxsize=None)
-def _ray_extent(alphas: tuple, angle_deg: int, cap: float = 12.0) -> float:
-    """Largest t with |R(t e^{i angle})| <= 1 + 1e-12, by scan and bisection."""
+def _ray_extent(alphas: tuple, angle_deg: int) -> float:
+    """Largest t up to 12 with |R(t e^{i angle})| <= 1 + 1e-12, by scan and
+    bisection."""
     direction = complex(np.exp(1j * np.deg2rad(angle_deg)))
 
     def inside(t: float) -> bool:
         z = t * direction
         return abs(_horner(alphas, 1.0 + 0j, lambda v: z * v)) <= 1.0 + 1e-12
 
-    grid = np.linspace(0.0, cap, 4801)
+    grid = np.linspace(0.0, 12.0, 4801)
     last_good = 0.0
     hit_boundary = False
     for t in grid[1:]:
@@ -443,7 +438,7 @@ def _ray_extent(alphas: tuple, angle_deg: int, cap: float = 12.0) -> float:
             hit_boundary = True
             break
     if not hit_boundary:
-        return float(cap)
+        return 12.0
     lo, hi = last_good, last_good + float(grid[1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -791,7 +786,7 @@ _OPTIONAL = object()
 
 # Parameters a manufactured solution pins outright. Everything else in
 # solution.params is a soft default the config may override.
-_PINNED = ("q", "beta", "coupling")
+_PINNED = ("q", "beta")
 
 def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
@@ -949,7 +944,7 @@ _SCHEME = {
         "theta1": (_number(0.5, 1.5), 1.0),
         "theta2": (_number(0.5, 1.5), 1.0),
     },
-    "spectral": {"family": _FAMILY, "coupling": (_text(_COUPLINGS), "exchange")},
+    "spectral": {"family": _FAMILY},
 }
 
 _MESH = {
@@ -986,10 +981,7 @@ _TIME = {
     "stability": {"integrator": (_integrator, _REQUIRED)},
 }
 
-_INIT = {
-    "mode": (_text(("l2", "composed", "tensor")), "l2"),
-    "variant": (_text(("direct", "reduced")), "direct"),  # composed mode only
-}
+_INIT = {"mode": (_text(("l2", "composed", "tensor")), "l2")}
 _REPORT = {
     key: (_number(-64.0, 64.0), _OPTIONAL)
     for key in ("assert_rate_min", "assert_rate_max", "assert_slope_max")
@@ -1039,8 +1031,7 @@ def _validate_scheme(raw, solution: ManufacturedSolution | None) -> dict:
     for key in _PINNED:
         if key in raw and key in params:
             given, pinned = fields[key][0](raw[key], f"scheme.{key}"), params[key]
-            same = given == pinned if isinstance(pinned, str) else abs(given - pinned) <= 1e-12
-            if not same:
+            if abs(given - pinned) > 1e-12:
                 _fail(f"scheme.{key}", (
                     f"solution {solution.name!r} pins this to {pinned!r}; "
                     "drop the key or pick another solution"
@@ -1090,10 +1081,10 @@ def validate_config(doc: Mapping) -> dict:
             _fail("grid.perturbation", "only meaningful when grid.mesh is 'perturbed'")
         del grid["perturbation"]
 
-    # One cap for the dense-only measurements off uniform meshes, where the
-    # operator has no symbols: |R(tau L)|, whose singular values cluster at
-    # 1, out of a Krylov method's reach, and the dense exp(tL) that checks
-    # a temporal study's reference.
+    # One cap for the dense measurements off uniform meshes, where the
+    # operator has no symbols: |R(tau L)| and the exp(tL) that checks a
+    # temporal study's reference. The cap bounds their cost; Krylov would
+    # reach |R(tau L)| too (see DENSE_LIMIT).
     if study == "temporal" and family == "spectral":
         _fail("scheme.family", "temporal studies need a matrix operator; spectral is spatial-only")
     if study != "spatial" and grid["mesh"] == "perturbed":
@@ -1127,9 +1118,9 @@ def validate_config(doc: Mapping) -> dict:
     if "scan" in out:
         _fail("scan", "only stability scans take a scan section")
 
-    raw_init = out.pop("init", {})
-    init = out["init"] = _section("init", raw_init, _INIT)
-    if init["mode"] == "composed":
+    out["init"] = _section("init", out.pop("init", {}), _INIT)
+    mode = out["init"]["mode"]
+    if mode == "composed":
         if family != "ldg":
             _fail("init.mode", "the composed projection applies to the ldg family only")
         seq = high_order_flux_sequence(scheme["q"], scheme["theta0"], tuple(scheme["thetas"]))
@@ -1138,14 +1129,12 @@ def validate_config(doc: Mapping) -> dict:
                 "composed initial data needs every flux parameter away from "
                 "1/2; adjust theta0/thetas or use mode 'l2'"
             ))
-        if init["variant"] == "reduced" and scheme["degree"] < 1:
-            _fail("init.variant", "the reduced construction needs degree >= 1")
-    else:
-        if "variant" in raw_init:
-            _fail("init.variant", "only meaningful when init.mode is 'composed'")
-        del init["variant"]
-        if init["mode"] == "tensor" and family != "advection2d":
+    elif mode == "tensor":
+        if family != "advection2d":
             _fail("init.mode", "tensor initial data applies to the advection2d family only")
+        if any(abs(scheme[key] - 0.5) < 1e-3 for key in ("theta1", "theta2")):
+            _fail("init.mode", f"tensor initial data needs theta1 and theta2 away from 1/2: "
+                               f"{_HALF_THETA_REMEDY}")
 
     out["report"] = _section("report", out.pop("report", {}), _REPORT)
     spectral = family == "spectral"
@@ -1196,20 +1185,7 @@ def study_to_dict(result: StudyResult) -> dict:
         "config": result.config,
         "fitted_rate": result.fitted_rate,
         "rate_pairwise": list(result.pairwise),
-        "levels": [
-            {
-                "scale": lv.scale,
-                "n_dofs": lv.n_dofs,
-                "tau": lv.tau,
-                "n_steps": lv.n_steps,
-                "error": lv.error,
-                "components": dict(lv.components),
-                "mu": lv.mu,
-                "op_norm": lv.op_norm,
-                "extra": dict(lv.extra),
-            }
-            for lv in result.levels
-        ],
+        "levels": [asdict(lv) for lv in result.levels],
         "assertions": dict(result.assertions),
         "passed": result.passed,
         "flags": list(result.flags),
@@ -1395,18 +1371,15 @@ def check_operators(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             worst = max(worst, abs(sigma_factor(a, t) - expansion))
     out.append(_check("sigma_factor_limit", worst, 1e-9))
 
+    # Each step of a march to t = 1 grows no state by more than
+    # exp(max(mu, 0) h): |R(h L)| is exact per mode on the uniform mesh, so
+    # this bounds the march from every initial state.
     heat = assemble_high_order_lh(mesh16, 1, 2, 1.0, theta0=1.0, thetas=(1.0,))
     mu = semiboundedness_mu(heat)
-    nrm = operator_norm(heat)
     rk = resolve_scheme("ssp3")
-    tau = 0.9 * stability_budget(rk) / nrm
-    u0 = project_l2(lambda x: np.sin(x) + 0.4 * np.cos(2 * x), mesh16, 1).vector
-    marched = evolve(heat, u0, tau, 1.0, rk, record_norms=True)
-    worst = 0.0
-    for i, nv in enumerate(marched.norms):
-        t_i = min(i * tau, 1.0)
-        envelope = marched.norms[0] * math.exp(max(mu, 0.0) * t_i)
-        worst = max(worst, nv / envelope - 1.0)
+    tau = 0.9 * stability_budget(rk) / operator_norm(heat)
+    worst = max(amplification_norm(heat, rk, h) - math.exp(max(mu, 0.0) * h)
+                for h in (tau, _step_plan(tau, 1.0)[1]))
     out.append(_check("decay_envelope", max(worst, 0.0), 1e-10))
 
     return out

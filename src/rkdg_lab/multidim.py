@@ -34,8 +34,9 @@ class Mesh2D:
     mesh2: Mesh1D
 
     @classmethod
-    def uniform(cls, n1: int, n2: int, a: float = 0.0, b: float = 2.0 * np.pi) -> "Mesh2D":
-        return cls(Mesh1D.uniform(n1, a, b), Mesh1D.uniform(n2, a, b))
+    def uniform(cls, n1: int, n2: int) -> "Mesh2D":
+        """n1 x n2 equal cells on [0, 2 pi)^2."""
+        return cls(Mesh1D.uniform(n1), Mesh1D.uniform(n2))
 
     @property
     def n_cells(self) -> tuple[int, int]:

@@ -57,18 +57,16 @@ def _grid_values(f: Callable, n_pts: int) -> np.ndarray:
     return np.asarray(f(x), dtype=complex).reshape(n_pts, -1)
 
 
-def fourier_truncate(f: Callable, n_max: int, n_samples: int | None = None) -> FourierFunction:
+def fourier_truncate(f: Callable, n_max: int) -> FourierFunction:
     """Coefficients a_k for |k| <= n_max by FFT on a uniform grid.
 
-    The default grid has 4 n_max + 5 points, so the result is alias-free
-    for band-limited data up to 3 n_max + 4 and the aliasing floor for
-    smooth data sits far below the truncation error. f maps a coordinate
-    array to shape (..., m) for m components (a plain (...) return is
-    read as a single component).
+    The grid has 4 n_max + 5 points, so the result is alias-free for
+    band-limited data up to 3 n_max + 4 and the aliasing floor for smooth
+    data sits far below the truncation error. f maps a coordinate array
+    to shape (..., m) for m components (a plain (...) return is read as a
+    single component).
     """
-    n_pts = (4 * n_max + 5) if n_samples is None else n_samples
-    if n_pts < 2 * n_max + 1:
-        raise ValueError("need at least 2*n_max + 1 samples")
+    n_pts = 4 * n_max + 5
     spec = np.fft.fft(_grid_values(f, n_pts), axis=0) / n_pts
     return FourierFunction(n_max, spec[wavenumbers(n_max) % n_pts])
 
@@ -83,10 +81,11 @@ def evaluate_on_grid(u: FourierFunction, n_pts: int) -> np.ndarray:
     return np.fft.ifft(spec, axis=0) * n_pts
 
 
-def grid_l2_error(u: FourierFunction, exact: Callable, n_pts: int | None = None) -> float:
-    """L2 distance to a callable by trapezoid quadrature on a uniform
-    grid (spectrally accurate for smooth periodic integrands)."""
-    n_pts = max(128, 4 * u.n_max + 9) if n_pts is None else n_pts
+def grid_l2_error(u: FourierFunction, exact: Callable) -> float:
+    """L2 distance to a callable by trapezoid quadrature on the uniform
+    grid of max(128, 4 n_max + 9) points (spectrally accurate for smooth
+    periodic integrands)."""
+    n_pts = max(128, 4 * u.n_max + 9)
     vals = evaluate_on_grid(u, n_pts)
     ev = _grid_values(exact, n_pts)
     return float(np.sqrt(2.0 * np.pi / n_pts * np.sum(np.abs(vals - ev) ** 2)))

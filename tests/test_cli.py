@@ -225,6 +225,18 @@ def test_unfittable_temporal_plan_exits_two(tmp_path, capsys, write_config):
     assert not (tmp_path / "out").exists()
 
 
+def test_tensor_init_at_a_centered_flux_exits_two(tmp_path, capsys, write_config):
+    doc = {
+        "schema": "rkdg-lab-config/1", "study": "spatial", "solution": "advection2d_sin",
+        "scheme": {"family": "advection2d", "degree": 1, "theta1": 0.5},
+        "grid": {"levels": [4, 6]}, "init": {"mode": "tensor"},
+    }
+    path = write_config(doc, "tensor_centered.json")
+    assert main(["converge", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: init.mode:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_spatial_tau_past_the_step_budget_exits_two(tmp_path, capsys, write_config,
                                                    tiny_advection_config):
     doc = tiny_advection_config(time={"integrator": "ssp3", "t_final": 1.0, "tau": 1e-7})

@@ -240,7 +240,12 @@ def test_validate_fills_defaults_and_is_idempotent(tiny_advection_config):
         (lambda d: d["grid"].update(perturbation=0.2), "grid.perturbation"),
         (lambda d: d.update(scan={}), "scan"),
         (lambda d: d.update(init={"mode": "tensor"}), "init.mode"),
-        (lambda d: d.update(init={"variant": "direct"}), "init.variant"),
+        (lambda d: d.update(init={"variant": "direct"}), "init: unknown key(s) ['variant']"),
+        (lambda d: d.update(init={"mode": "composed", "variant": "direct"}),
+         "init: unknown key(s) ['variant']; allowed keys are ['mode']"),
+        (lambda d: d.update(solution="spectral_exchange",
+                            scheme={"family": "spectral", "coupling": "exchange"}),
+         "scheme: unknown key(s) ['coupling']"),
         (lambda d: d.update(report={"assert_slope_max": -0.5}), "assert_slope_max"),
         (lambda d: d["time"].update(tau0=0.1), "time"),
         (lambda d: d["scheme"].update(beta=[1]), "scheme.beta"),
@@ -264,7 +269,25 @@ def test_validate_composed_init_needs_offcenter_fluxes(tiny_advection_config):
     assert "init.mode" in str(err.value)
     doc["scheme"]["theta0"] = 1.0
     out = validate_config(doc)
-    assert out["init"] == {"mode": "composed", "variant": "direct"}
+    assert out["init"] == {"mode": "composed"}
+
+
+def _advection2d_doc(init_mode, **thetas):
+    return {
+        "schema": "rkdg-lab-config/1", "study": "spatial", "solution": "advection2d_sin",
+        "scheme": {"family": "advection2d", "degree": 1, **thetas},
+        "grid": {"levels": [4, 6]}, "init": {"mode": init_mode},
+    }
+
+
+@pytest.mark.parametrize("thetas", [{"theta1": 0.5}, {"theta2": 0.5005}])
+def test_validate_tensor_init_needs_offcenter_fluxes(thetas):
+    """The tensor projection solves the flux-matching system along each
+    axis, singular at theta = 1/2: validation refuses it rather than the
+    run. Plain L2 initial data takes the centered flux."""
+    with pytest.raises(ConfigError, match="init.mode: tensor initial data needs theta1 and theta2"):
+        validate_config(_advection2d_doc("tensor", **thetas))
+    assert validate_config(_advection2d_doc("l2", **thetas))["init"] == {"mode": "l2"}
 
 
 def test_validate_pins_solution_parameters(tiny_advection_config):

@@ -7,6 +7,7 @@ import pytest
 from rkdg_lab import (
     LinearOperator,
     Mesh1D,
+    amplification_norm,
     assemble_central_advection,
     assemble_energy_conserving_pair,
     assemble_wave_alphabeta,
@@ -83,12 +84,14 @@ def test_conserving_pair_preserves_the_norm_in_time():
     w0 = project_l2(np.sin, mesh, 1)
     chi0 = project_l2(np.cos, mesh, 1)
     u0 = stack_fields(w0, chi0)
-    sigma = operator_norm(op)
-    res = evolve(op, u0, 0.1 / sigma, 1.0, resolve_scheme("rk4"), record_norms=True)
-    norms = np.asarray(res.norms)
-    # the scheme is contractive on the imaginary axis, never amplifying
-    assert np.all(norms <= norms[0] * (1.0 + 1e-12))
-    assert norms[-1] >= norms[0] * (1.0 - 1e-4)
+    rk4, tau = resolve_scheme("rk4"), 0.1 / operator_norm(op)
+    res = evolve(op, u0, tau, 1.0, rk4)
+    # the scheme is contractive on the imaginary axis, never amplifying:
+    # neither the full step nor the short last one grows any state
+    assert res.final_step < tau
+    for h in (tau, res.final_step):
+        assert amplification_norm(op, rk4, h) <= 1.0 + 1e-12
+    assert np.linalg.norm(res.state) >= np.linalg.norm(u0) * (1.0 - 1e-4)
 
 
 # ---------------------------------------------------------------------------
